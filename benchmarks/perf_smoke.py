@@ -25,8 +25,8 @@ Workloads (``--workload``):
   windowed quantiles, the K-of-N vote, and the renegotiation state
   machine riding a broker crash/restart; baseline in
   ``BENCH_adaptation.json``.
-* ``hybrid`` — fig1 at 60 s in ``Simulator(mode="hybrid")`` (batched
-  egress + fluid UDP contention) followed by the packet-mode reference
+* ``hybrid`` — fig1 at 60 s with ``mode="hybrid"`` (the UDP contention
+  advanced as a fluid envelope) followed by the packet-mode reference
   run, asserting the hybrid Fig 1 statistics stay within 1% of packet
   mode (the fidelity gate) and reporting *effective* events/second
   (processed + credited); baseline in ``BENCH_hybrid.json``.
@@ -82,8 +82,7 @@ sys.path.insert(0, str(REPO / "src"))
 #: Duration and tolerance of the hybrid-vs-packet fidelity gate. 60 s
 #: is the shortest horizon where TCP trajectory chaos averages out
 #: below the bound (at the 12 s quick grid, µs-level perturbations
-#: alone move the mean by ~2%; see INTERNALS.md "Batched egress &
-#: hybrid fidelity").
+#: alone move the mean by ~2%; see INTERNALS.md "Hybrid fidelity").
 HYBRID_EQUIV_DURATION = 60.0
 HYBRID_EQUIV_TOLERANCE = 0.01
 
@@ -447,8 +446,7 @@ def main(argv=None) -> int:
         if baseline_credited is not None and credited != baseline_credited:
             print(
                 f"FAIL: credited event count changed: {credited} vs "
-                f"baseline {baseline_credited} — the batching/fluid "
-                f"shortcuts drifted"
+                f"baseline {baseline_credited} — the fluid model drifted"
             )
             status = 1
         baseline_pinned = baseline.get("pinned")

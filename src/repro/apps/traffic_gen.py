@@ -30,6 +30,7 @@ class UdpTrafficGenerator:
         port: int = 9001,
         on_time: Optional[float] = None,
         off_time: Optional[float] = None,
+        fluid_engine=None,
     ) -> None:
         if rate <= 0:
             raise ValueError("rate must be positive")
@@ -55,8 +56,11 @@ class UdpTrafficGenerator:
         dst_udp = dst_layer if isinstance(dst_layer, UdpLayer) else UdpLayer(dst)
         self._dst_udp = dst_udp
         self.sink = dst_udp.create_socket(port=port)
-        #: Hybrid mode: the rate envelope standing in for the packet
-        #: blaster (:class:`repro.net.fluid.FluidAggregate`), else None.
+        #: Hybrid runs hand over a :class:`repro.net.fluid.FluidEngine`;
+        #: the generator then advances as a rate envelope
+        #: (:attr:`fluid`, a :class:`repro.net.fluid.FluidAggregate`)
+        #: instead of sending packets.
+        self.fluid_engine = fluid_engine
         self.fluid = None
         self.sim.process(self._sink_loop(), name="udp-gen-sink")
 
@@ -68,7 +72,7 @@ class UdpTrafficGenerator:
         if self._running:
             return
         self._running = True
-        if self.sim.fluid:
+        if self.fluid_engine is not None:
             self._start_fluid()
             return
         self.sim.process(self._send_loop(), name="udp-gen")
@@ -108,7 +112,7 @@ class UdpTrafficGenerator:
                 previous["datagrams"] = total
 
             aggregate.on_delivered = on_delivered
-            self.fluid = self.sim.get_fluid_engine().register(aggregate)
+            self.fluid = self.fluid_engine.register(aggregate)
         self.fluid.running = True
         self.fluid._phase_start = self.sim.now
 

@@ -175,33 +175,6 @@ class PriorityQdisc(Qdisc):
                     return packet
         return None
 
-    def dequeue_batch(self, limit: int) -> List[Packet]:
-        # Exactly `limit` sequential dequeue() calls with the method
-        # dispatch hoisted out: each iteration rescans the bands from
-        # the top, so a custom band that comes back empty-handed
-        # (dropped its backlog at dequeue time) falls through to the
-        # next band this packet and is retried for the next, precisely
-        # as repeated dequeue() calls would.
-        out: List[Packet] = []
-        deq_bands = self._deq_bands
-        while len(out) < limit:
-            packet = None
-            for queue, band_dequeue in deq_bands:
-                if band_dequeue is None:
-                    inner = queue._queue
-                    if inner:
-                        packet = inner.popleft()
-                        queue._bytes -= packet.size
-                        break
-                elif len(queue):
-                    packet = band_dequeue()
-                    if packet is not None:
-                        break
-            if packet is None:
-                break
-            out.append(packet)
-        return out
-
     def peek(self) -> Optional[Packet]:
         for queue, band_dequeue in self._deq_bands:
             packet = (

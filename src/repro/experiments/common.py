@@ -16,6 +16,7 @@ from ..apps import UdpTrafficGenerator
 from ..core import MpichGQ
 from ..kernel import Simulator
 from ..net import GarnetTestbed, garnet, mbps
+from ..net.fluid import FluidEngine
 from ..transport.tcp import TcpConfig
 from .. import telemetry as _telemetry
 
@@ -23,7 +24,12 @@ __all__ = [
     "GarnetDeployment",
     "build_deployment",
     "ExperimentResult",
+    "MODES",
 ]
+
+#: ``build_deployment(mode=...)`` values: every datagram simulated, or
+#: background UDP advanced as a fluid envelope.
+MODES = ("packet", "hybrid")
 
 
 @dataclass
@@ -57,10 +63,12 @@ def build_deployment(
     WRED / WRED+ECN one (see :class:`repro.aqm.AqmPolicy`);
     ``resilient`` attaches the broker's write-ahead journal so
     crash/restart experiments recover state instead of losing it.
-    ``mode`` selects the datapath fidelity (``"packet"``, ``"batch"``,
-    ``"hybrid"`` — see :class:`repro.kernel.Simulator`); in hybrid mode
-    the UDP contention generator advances as a fluid rate envelope."""
-    sim = Simulator(seed=seed, mode=mode)
+    ``mode="hybrid"`` advances the UDP contention generator as a fluid
+    rate envelope (:mod:`repro.net.fluid`) instead of per-packet events;
+    ``"packet"`` (the default) simulates every datagram."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    sim = Simulator(seed=seed)
     testbed = garnet(
         sim,
         backbone_bandwidth=backbone_bandwidth,
@@ -82,6 +90,7 @@ def build_deployment(
             testbed.competitive_src,
             testbed.competitive_dst,
             rate=contention_rate,
+            fluid_engine=FluidEngine(sim) if mode == "hybrid" else None,
         )
         if start_contention:
             contention.start()

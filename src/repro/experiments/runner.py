@@ -39,6 +39,7 @@ from . import (
     table1_burstiness,
     table1_l4s,
 )
+from .common import MODES
 from .report import render_result
 
 __all__ = ["main", "EXPERIMENTS", "make_telemetry"]
@@ -130,10 +131,10 @@ def main(argv=None) -> int:
                         help="scaled-down parameters")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--mode", choices=("packet", "batch", "hybrid"), default="packet",
-        help="datapath fidelity mode for experiments that support it "
-             "(packet: byte-identical per-packet chain; batch: batched "
-             "egress; hybrid: batched egress + fluid background traffic)",
+        "--mode", choices=MODES, default="packet",
+        help="background-traffic fidelity for experiments that support "
+             "it (packet: every datagram simulated; hybrid: background "
+             "UDP advanced as a fluid rate envelope)",
     )
     parser.add_argument("--out", type=Path, default=None,
                         help="directory for JSON result dumps")
@@ -195,7 +196,7 @@ def main(argv=None) -> int:
         import inspect
 
         if args.parallel > 1:
-            parser.error("--mode batch/hybrid runs serially; drop --parallel")
+            parser.error("--mode hybrid runs serially; drop --parallel")
 
         unsupported = [
             name for name in selected_early

@@ -125,24 +125,12 @@ class Simulator:
         "_rng_streams",
         "events_processed",
         "events_credited",
-        "mode",
-        "batch_egress",
-        "fluid",
-        "packet_pool",
-        "fluid_engine",
         "telemetry",
         "_profiler",
         "__weakref__",
     )
 
-    #: Valid datapath fidelity modes (see the ``mode`` parameter).
-    MODES = ("packet", "batch", "hybrid")
-
-    def __init__(self, seed: int = 0, mode: str = "packet") -> None:
-        if mode not in self.MODES:
-            raise ValueError(
-                f"unknown simulator mode {mode!r}; expected one of {self.MODES}"
-            )
+    def __init__(self, seed: int = 0) -> None:
         self._now: float = 0.0
         self._queue: list = []
         # Monotonic insertion counter (C-level; only ever advanced
@@ -162,32 +150,11 @@ class Simulator:
         #: profiling). Dead entries skipped by the run loop do not
         #: count.
         self.events_processed: int = 0
-        #: Datapath fidelity mode. ``"packet"`` (the default) is the
-        #: byte-identical per-packet event chain. ``"batch"`` drains
-        #: router egress bursts through one kernel callback per burst
-        #: (arrival times stay analytic/exact; mid-burst preemption is
-        #: approximated at burst granularity). ``"hybrid"`` additionally
-        #: advances registered background aggregates as fluid rate
-        #: envelopes between foreground packet events.
-        self.mode = mode
-        #: True when interfaces should use the batched egress path.
-        self.batch_egress = mode != "packet"
-        #: True when background aggregates advance analytically.
-        self.fluid = mode == "hybrid"
-        #: Logical events avoided by batching/fluid shortcuts. A burst
-        #: of n packets drained in one callback credits n-1 (the
-        #: collapsed per-packet tx-done events); a fluid aggregate
-        #: credits the per-packet event chain it replaced. Always 0 in
-        #: packet mode, so the pinned benchmark counts are untouched.
+        #: Logical events a model avoided processing: a fluid
+        #: aggregate (:mod:`repro.net.fluid`) credits the per-packet
+        #: event chain it replaced. 0 unless such a model is running,
+        #: so the pinned benchmark counts are untouched.
         self.events_credited: int = 0
-        #: Struct-of-arrays packet slab (:class:`repro.net.slab.PacketPool`),
-        #: created lazily by the first pooled allocator in batch/hybrid
-        #: modes; stays None in packet mode.
-        self.packet_pool = None
-        #: Fluid background engine (:class:`repro.net.fluid.FluidEngine`),
-        #: created lazily by the first registered aggregate in hybrid
-        #: mode; stays None otherwise.
-        self.fluid_engine = None
         #: Active :class:`repro.telemetry.Telemetry` session, or None.
         #: Instrumented layers throughout the stack read this; the
         #: disabled case is one attribute load and a None check.
@@ -205,44 +172,12 @@ class Simulator:
 
     @property
     def effective_events(self) -> int:
-        """Events processed plus events analytically avoided.
-
-        In packet mode this equals :attr:`events_processed`. In batch
-        and hybrid modes it adds :attr:`events_credited`, the
-        per-packet events the batched egress and fluid aggregates
-        collapsed, so throughput figures stay comparable across modes
-        (same simulated work per effective event).
-        """
+        """Events processed plus events analytically avoided
+        (:attr:`events_credited`), so throughput figures stay
+        comparable between a fluid-background run and the per-packet
+        run it stands in for (same simulated work per effective
+        event)."""
         return self.events_processed + self.events_credited
-
-    def get_packet_pool(self):
-        """The struct-of-arrays packet slab, created on first use.
-
-        Only meaningful in batch/hybrid modes — pooled allocators must
-        check :attr:`batch_egress` before calling this.
-        """
-        pool = self.packet_pool
-        if pool is None:
-            from ..net.slab import PacketPool  # late: avoids kernel<->net cycle
-
-            pool = self.packet_pool = PacketPool()
-        return pool
-
-    def get_fluid_engine(self):
-        """The hybrid-mode fluid background engine, created on first
-        use. Raises in non-hybrid modes — callers gate on
-        :attr:`fluid`."""
-        if not self.fluid:
-            raise RuntimeError(
-                "fluid aggregates need Simulator(mode='hybrid'), "
-                f"this simulator is in {self.mode!r} mode"
-            )
-        engine = self.fluid_engine
-        if engine is None:
-            from ..net.fluid import FluidEngine  # late: avoids kernel<->net cycle
-
-            engine = self.fluid_engine = FluidEngine(self)
-        return engine
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -457,20 +392,11 @@ class Simulator:
                     handle.fn, perf_counter() - started, len(self._queue)
                 )
             return
-        self._dispatch_event(entry[0], entry[4], profiler, advance=False)
+        self._dispatch_event(entry[4], profiler)
 
-    def _dispatch_event(
-        self,
-        time: float,
-        event: Event,
-        profiler: Any,
-        advance: bool = True,
-    ) -> None:
-        """Run an event's callbacks (the clock already sits at ``time``
-        when called from :meth:`_dispatch`, which passes ``advance=False``)."""
-        if advance:
-            self._now = time
-            self.events_processed += 1
+    def _dispatch_event(self, event: Event, profiler: Any) -> None:
+        """Run an event's callbacks (:meth:`_dispatch` has already
+        advanced the clock and counted the entry)."""
         callbacks, event.callbacks = event.callbacks, None
         if profiler is None:
             for callback in callbacks:
@@ -491,8 +417,10 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
 
-        When ``until`` is given the clock is advanced to exactly
-        ``until`` even if the last processed entry was earlier.
+        When a finite ``until`` is given the clock is advanced to
+        exactly ``until`` even if the last processed entry was earlier;
+        with no ``until`` (or ``inf``) the clock stays at the last
+        processed entry.
 
         This is the hot loop: each iteration pops the head exactly once
         (no separate peek walk), dispatches on the entry's type tag,
@@ -501,6 +429,12 @@ class Simulator:
         entry, so installing one mid-run takes effect at the next
         ``run()`` call (``Telemetry.attach`` always precedes the run).
         """
+        if until is None:
+            until = math.inf
+        elif until < self._now:
+            raise ValueError(
+                f"until={until} is in the past (now={self._now})"
+            )
         queue = self._queue
         pop = heapq.heappop
         timer = perf_counter
@@ -509,122 +443,66 @@ class Simulator:
         # reads events_processed mid-run (telemetry collects after).
         processed = 0
         try:
-            if until is not None:
-                if until < self._now:
-                    raise ValueError(
-                        f"until={until} is in the past (now={self._now})"
-                    )
-                while queue:
-                    # Pop first, compare after: the common case (entry is
-                    # due) then costs no head peek. An overshooting entry
-                    # is pushed back unchanged — same tuple, same seq —
-                    # so ordering is unaffected.
-                    entry = pop(queue)
-                    if entry[0] > until:
-                        _heappush(queue, entry)
-                        break
-                    tag = entry[3]
-                    if tag == _FAST:
-                        self._now = entry[0]
-                        processed += 1
-                        fn = entry[4]
-                        if profiler is None:
-                            fn(entry[5])
-                        else:
-                            started = timer()
-                            fn(entry[5])
-                            profiler.record(fn, timer() - started, len(queue))
-                    elif tag >= 0:
-                        handle = entry[4]
-                        if handle.cancelled or handle._gen != tag:
-                            if self._dead:
-                                self._dead -= 1
-                            continue
-                        self._now = entry[0]
-                        processed += 1
-                        if profiler is None:
-                            handle.fn(*handle.args)
-                        else:
-                            started = timer()
-                            handle.fn(*handle.args)
-                            profiler.record(
-                                handle.fn, timer() - started, len(queue)
-                            )
+            while queue:
+                # Pop first, compare after: the common case (entry is
+                # due) then costs no head peek. An overshooting entry
+                # is pushed back unchanged — same tuple, same seq —
+                # so ordering is unaffected.
+                entry = pop(queue)
+                if entry[0] > until:
+                    _heappush(queue, entry)
+                    break
+                tag = entry[3]
+                if tag == _FAST:
+                    self._now = entry[0]
+                    processed += 1
+                    fn = entry[4]
+                    if profiler is None:
+                        fn(entry[5])
                     else:
-                        # Inlined _dispatch_event (see that method for
-                        # the commentary); counts via the local tally.
-                        self._now = entry[0]
-                        processed += 1
-                        event = entry[4]
-                        callbacks, event.callbacks = event.callbacks, None
-                        if profiler is None:
-                            for callback in callbacks:
-                                callback(event)
-                        else:
-                            for callback in callbacks:
-                                started = timer()
-                                callback(event)
-                                profiler.record(
-                                    callback, timer() - started, len(queue)
-                                )
-                        if not event._ok and not event._defused:
-                            exc = event._value
-                            raise SimulationError(
-                                f"unhandled failure in {event!r}: {exc!r}"
-                            ) from exc
-                if until != float("inf"):
-                    self._now = max(self._now, until)
-            else:
-                while queue:
-                    entry = pop(queue)
-                    tag = entry[3]
-                    if tag == _FAST:
-                        self._now = entry[0]
-                        processed += 1
-                        fn = entry[4]
-                        if profiler is None:
-                            fn(entry[5])
-                        else:
-                            started = timer()
-                            fn(entry[5])
-                            profiler.record(fn, timer() - started, len(queue))
-                    elif tag >= 0:
-                        handle = entry[4]
-                        if handle.cancelled or handle._gen != tag:
-                            if self._dead:
-                                self._dead -= 1
-                            continue
-                        self._now = entry[0]
-                        processed += 1
-                        if profiler is None:
-                            handle.fn(*handle.args)
-                        else:
-                            started = timer()
-                            handle.fn(*handle.args)
-                            profiler.record(
-                                handle.fn, timer() - started, len(queue)
-                            )
+                        started = timer()
+                        fn(entry[5])
+                        profiler.record(fn, timer() - started, len(queue))
+                elif tag >= 0:
+                    handle = entry[4]
+                    if handle.cancelled or handle._gen != tag:
+                        if self._dead:
+                            self._dead -= 1
+                        continue
+                    self._now = entry[0]
+                    processed += 1
+                    if profiler is None:
+                        handle.fn(*handle.args)
                     else:
-                        # Inlined _dispatch_event, as in the until loop.
-                        self._now = entry[0]
-                        processed += 1
-                        event = entry[4]
-                        callbacks, event.callbacks = event.callbacks, None
-                        if profiler is None:
-                            for callback in callbacks:
-                                callback(event)
-                        else:
-                            for callback in callbacks:
-                                started = timer()
-                                callback(event)
-                                profiler.record(
-                                    callback, timer() - started, len(queue)
-                                )
-                        if not event._ok and not event._defused:
-                            exc = event._value
-                            raise SimulationError(
-                                f"unhandled failure in {event!r}: {exc!r}"
-                            ) from exc
+                        started = timer()
+                        handle.fn(*handle.args)
+                        profiler.record(
+                            handle.fn, timer() - started, len(queue)
+                        )
+                else:
+                    # Inlined _dispatch_event (see that method for
+                    # the commentary); counts via the local tally.
+                    self._now = entry[0]
+                    processed += 1
+                    event = entry[4]
+                    callbacks, event.callbacks = event.callbacks, None
+                    if profiler is None:
+                        for callback in callbacks:
+                            callback(event)
+                    else:
+                        for callback in callbacks:
+                            started = timer()
+                            callback(event)
+                            profiler.record(
+                                callback, timer() - started, len(queue)
+                            )
+                    if not event._ok and not event._defused:
+                        exc = event._value
+                        raise SimulationError(
+                            f"unhandled failure in {event!r}: {exc!r}"
+                        ) from exc
+            if until != math.inf:
+                self._now = max(self._now, until)
         finally:
             self.events_processed += processed
 

@@ -1,24 +1,24 @@
 """Fluid background traffic: rate envelopes instead of packets.
 
-Hybrid mode (``Simulator(mode="hybrid")``) spends packet-level fidelity
-only where the paper's QoS effects live — the premium/AF foreground
-flows and their per-hop marking/policing decisions. Background
-aggregates (the §5.2 UDP blaster, bulk best-effort) advance
+Hybrid mode (``build_deployment(mode="hybrid")``) spends packet-level
+fidelity only where the paper's QoS effects live — the premium/AF
+foreground flows and their per-hop marking/policing decisions.
+Background aggregates (the §5.2 UDP blaster, bulk best-effort) advance
 *analytically*: a :class:`FluidAggregate` is a piecewise-constant rate
 envelope pushed along its routed path of :class:`FluidChannel`\\ s, each
 of which integrates the classic fluid backlog law over one sync tick::
 
     backlog += in_bytes - leftover_capacity        (clamped at 0)
-    leftover_capacity = line_rate*dt - foreground_bytes - burst_served
+    leftover_capacity = line_rate*dt - foreground_bytes - served_ahead
 
 with overflow above the band queue's capacity counted as drops, exactly
 where drop-tail would drop the corresponding packets. Foreground bytes
 are observed from the interface's ``tx_bytes`` delta, so the envelope
 sees precisely the capacity the packet datapath left unused; in the
-other direction, a foreground burst that shares the fluid's band (or a
-lower one) is delayed by the backlog standing ahead of it
-(:meth:`FluidChannel.on_foreground_burst`), which is how the envelope
-occupies queue depth without materialising packets.
+other direction, a foreground packet that shares the fluid's band (or a
+lower one) is delayed at tx-start by the backlog standing ahead of it
+(:meth:`FluidChannel.on_tx_start`), which is how the envelope occupies
+queue depth without materialising packets.
 
 Every datagram-equivalent the envelope moves end-to-end credits the
 per-packet event chain it replaced (``2*hops + 2`` kernel events: one
@@ -32,7 +32,7 @@ inelastic aggregates whose per-packet fate is statistically uniform
 (CBR/on-off UDP). It is *not* valid for closed-loop traffic (TCP
 reacts to individual drops) or for flows whose per-packet marks matter
 (AQM-managed AF) — those stay packet-level. See INTERNALS.md,
-"Batched egress & hybrid fidelity".
+"Hybrid fidelity".
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class FluidChannel:
         )
         self.backlog_bytes = 0.0
         #: Fraction of the last tick the line spent on fluid bytes —
-        #: the probability a foreground burst start finds a fluid
+        #: the probability an idle-transmitter tx-start finds a fluid
         #: datagram in (non-preemptible) service.
         self.utilization = 0.0
         #: Lifetime bytes the envelope put on this line.
@@ -137,7 +137,7 @@ class FluidChannel:
             return 0.0
         # Capacity the foreground left unused this interval. tx_bytes
         # only counts real packets, so fluid bytes served ahead of a
-        # foreground burst are tracked separately in _interval_sent.
+        # foreground packet are tracked separately in _interval_sent.
         fg_tx = iface.tx_bytes
         fg_bytes = fg_tx - self._last_fg_tx_bytes
         self._last_fg_tx_bytes = fg_tx
@@ -159,25 +159,29 @@ class FluidChannel:
         self.utilization = out / line_bytes if line_bytes > 0.0 else 0.0
         return out
 
-    def on_foreground_burst(self, now: float, batch) -> float:
-        """Seconds of fluid backlog served ahead of a foreground burst.
+    def on_tx_start(self, packet, idle: bool) -> float:
+        """Seconds the envelope holds the line ahead of ``packet``,
+        called by the interface at every tx-start.
 
-        Strictly higher-priority foreground (a lower service-class
-        index than the fluid's band) preempts the envelope but still
-        pays the non-preemption residual: with probability equal to
-        the fluid's line utilization a burst start finds a fluid
-        datagram mid-serialization and waits a uniform fraction of its
-        transmission time (the M/G/1 residual-service term — this
-        µs-scale jitter measurably shifts closed-loop foreground
-        equilibria, so dropping it would bias the hybrid curves).
-        Same-or-lower priority waits behind the whole standing
-        backlog, which is thereby put on the line (and accounted
-        against this interval's capacity).
+        Same-or-lower priority foreground waits behind the whole
+        standing backlog, which is thereby put on the line (and
+        accounted against this interval's capacity). Strictly
+        higher-priority foreground (a lower service-class index than
+        the fluid's band) preempts the envelope but still pays the
+        non-preemption residual when it finds the transmitter ``idle``:
+        with probability equal to the fluid's line utilization the
+        start finds a fluid datagram mid-serialization and waits a
+        uniform fraction of its transmission time (the M/G/1
+        residual-service term — this µs-scale jitter measurably shifts
+        closed-loop foreground equilibria, so dropping it would bias
+        the hybrid curves). A back-to-back start (``idle`` false)
+        follows a foreground packet, so no fluid datagram can be in
+        service.
         """
         iface = self.iface
-        if service_class_of(batch[0].dscp) < self.klass:
+        if service_class_of(packet.dscp) < self.klass:
             utilization = self.utilization
-            if utilization > 0.0:
+            if idle and utilization > 0.0:
                 rng = iface.sim.rng
                 if rng.random() < utilization:
                     return (

@@ -18,13 +18,7 @@ from ..kernel.simulator import _FAST
 from .packet import Packet
 from .queues import DropTailQueue, Qdisc
 
-__all__ = ["Interface", "Node", "Host", "Router", "BATCH_MAX_PACKETS"]
-
-#: Upper bound on one egress burst in batch/hybrid modes. Bounds how
-#: long a drained-but-not-yet-transmitted burst can defer a mid-burst
-#: high-priority arrival (the batch-granularity approximation), and
-#: keeps per-burst arrival scheduling cache-friendly.
-BATCH_MAX_PACKETS = 32
+__all__ = ["Interface", "Node", "Host", "Router"]
 
 
 class Interface:
@@ -41,7 +35,7 @@ class Interface:
     __slots__ = (
         "node", "sim", "name", "_bandwidth", "_sec_per_byte", "delay",
         "_qdisc", "_dequeue", "peer", "ingress", "up", "impairments",
-        "_busy", "_batch", "fluid_channel", "_tx_done", "remote_egress",
+        "_busy", "fluid_channel", "_tx_done", "remote_egress",
         "tx_packets", "tx_bytes", "rx_packets", "rx_bytes",
         "ingress_drops", "link_down_drops", "impairment_drops",
     )
@@ -81,12 +75,12 @@ class Interface:
         # must stay possible, hence the method lives under _tx_done_impl
         # and this slot holds the active callable).
         self._tx_done = self._tx_done_impl
-        # Batched egress is a per-simulator mode decision fixed at
-        # construction; the packet-mode transmit path stays exactly the
-        # historical (byte-identical) event chain.
-        self._batch = node.sim.batch_egress
         #: Fluid background channel sharing this egress line
-        #: (:class:`repro.net.fluid.FluidChannel`), hybrid mode only.
+        #: (:class:`repro.net.fluid.FluidChannel`, which installs
+        #: itself here). When set, every tx-start asks it how long the
+        #: envelope's traffic holds the line ahead of the packet. None
+        #: (one slot load + branch) unless a hybrid run put a fluid
+        #: aggregate across this interface.
         self.fluid_channel = None
         #: Cross-shard egress hook (conservative PDES). When set, the
         #: link's far end lives on another shard: instead of scheduling
@@ -152,146 +146,31 @@ class Interface:
                 )
             return False
         if not self._busy:
-            if self._batch:
-                # Batch/hybrid modes: the burst drain owns the
-                # transmitter until the whole burst is on the wire.
-                self._busy = True
-                self._drain_batch()
-                return True
-            # Inlined _transmit_next — starting an idle transmitter is
-            # the common case on lightly-loaded host NICs.
-            packet = self._dequeue()
-            if packet is not None:
-                self._busy = True
-                sim = self.sim
-                _heappush(
-                    sim._queue,
-                    (
-                        sim._now + packet.size * self._sec_per_byte,
-                        _NORMAL,
-                        next(sim._seq),
-                        _FAST,
-                        self._tx_done,
-                        packet,
-                    ),
-                )
+            self._transmit_next()
         return True
 
-    def _drain_batch(self) -> None:
-        """Batched egress (batch/hybrid modes): drain one qdisc burst
-        and put it on the wire in a single kernel callback.
-
-        Serialization times are summed analytically — packet *k* of the
-        burst finishes at ``now + sum(size[0..k]) / rate`` and arrives
-        at the peer exactly one propagation delay later, so arrival
-        times are identical to the per-packet event chain. What is
-        approximated is burst-granularity preemption: a higher-priority
-        packet enqueued mid-burst waits for the in-flight burst (at
-        most :data:`BATCH_MAX_PACKETS` serializations) where packet
-        mode would let it jump ahead at the next packet boundary, and
-        link-down/impairment state is sampled once per burst. Each
-        collapsed per-packet tx-done event is credited to
-        ``sim.events_credited``.
-        """
-        while True:
-            # Lone-packet fast path first: most drains start with an
-            # idle transmitter and a single queued packet (host NICs,
-            # paced flows), where allocating a burst list and
-            # rescanning bands per packet would cost more than the
-            # per-packet event chain it replaces.
-            qdisc = self._qdisc
-            head = self._dequeue()
-            if head is None:
-                self._busy = False
-                return
-            sim = self.sim
-            if not self.up:
-                # A dead link drains instantly in packet mode too (each
-                # tx-done counts a loss and immediately dequeues the
-                # next); keep looping until the queue is empty.
-                self.link_down_drops += 1
-                sim.events_credited += 1
-                continue
-            if len(qdisc):
-                batch = qdisc.dequeue_batch(BATCH_MAX_PACKETS - 1)
-                batch.insert(0, head)
-            else:
-                batch = [head]
-            queue = sim._queue
-            seq = sim._seq
-            spb = self._sec_per_byte
-            delay = self.delay
-            finish = sim._now
-            fluid = self.fluid_channel
-            if fluid is not None:
-                # Share the line with the background envelope: fluid
-                # backlog that would be serviced ahead of this burst
-                # (same or higher band) delays its first serialization.
-                finish += fluid.on_foreground_burst(sim._now, batch)
-            peer_deliver = self.peer._deliver_arrival
-            remote = self.remote_egress
-            tel = sim.telemetry
-            want_tx = (
-                tel is not None
-                and tel.trace is not None
-                and tel.trace.wants("net", "tx")
-            )
-            impairments = self.impairments
-            for packet in batch:
-                # Serialization is spent even on packets an impairment
-                # destroys afterwards, exactly as in packet mode.
-                finish += packet.size * spb
-                if impairments:
-                    destroyed = False
-                    for impair in impairments:
-                        if impair(packet):
-                            self.impairment_drops += 1
-                            destroyed = True
-                            break
-                    if destroyed:
-                        continue
-                self.tx_packets += 1
-                self.tx_bytes += packet.size
-                if want_tx:
-                    tel.trace.emit(
-                        sim.now, "net", "tx",
-                        node=self.node.name, iface=self.name,
-                        src=packet.src, dst=packet.dst,
-                        sport=packet.sport, dport=packet.dport,
-                        dscp=packet.dscp, size=packet.size,
-                        backlog=len(self.qdisc),
-                    )
-                if remote is None:
-                    _heappush(
-                        queue,
-                        (finish + delay, _NORMAL, next(seq), _FAST,
-                         peer_deliver, packet),
-                    )
-                else:
-                    remote(finish + delay, packet)
-            sim.events_credited += len(batch) - 1
-            _heappush(
-                queue,
-                (finish, _NORMAL, next(seq), _FAST, self._batch_done, None),
-            )
-            return
-
-    def _batch_done(self, _arg) -> None:
-        """End of one egress burst: drain the next or go idle."""
-        self._drain_batch()
-
     def _transmit_next(self) -> None:
+        """Start serialising the qdisc's next packet, or go idle.
+
+        The one tx-start site: ``send`` calls it on an idle
+        transmitter, ``_tx_done`` after every completed packet.
+        """
         packet = self._dequeue()
         if packet is None:
             self._busy = False
             return
+        sim = self.sim
+        start = sim._now
+        fluid = self.fluid_channel
+        if fluid is not None:
+            # ``_busy`` is still False only on an idle->busy start.
+            start += fluid.on_tx_start(packet, not self._busy)
         self._busy = True
         # Inlined sim.call_fast — this push runs once per packet per hop.
-        sim = self.sim
         _heappush(
             sim._queue,
             (
-                sim._now + packet.size * self._sec_per_byte,
+                start + packet.size * self._sec_per_byte,
                 _NORMAL,
                 next(sim._seq),
                 _FAST,
@@ -347,23 +226,7 @@ class Interface:
             # Peer lives on another shard: hand the packet to the PDES
             # runtime stamped with its physical arrival time.
             remote(sim._now + self.delay, packet)
-        # Inlined _transmit_next: this tail runs once per transmitted
-        # packet, so the extra call is worth eliding.
-        packet = self._dequeue()
-        if packet is None:
-            self._busy = False
-            return
-        _heappush(
-            sim._queue,
-            (
-                sim._now + packet.size * self._sec_per_byte,
-                _NORMAL,
-                next(sim._seq),
-                _FAST,
-                self._tx_done,
-                packet,
-            ),
-        )
+        self._transmit_next()
 
     def _deliver_arrival(self, packet: Packet) -> None:
         if not self.up:
@@ -409,14 +272,11 @@ class Node:
         return iface
 
     def receive(self, packet: Packet, iface: Interface) -> None:
-        """Handle a packet arriving at this node."""
+        """Handle a packet arriving at this node: deliver it locally or
+        route it out the next-hop interface."""
         if packet.dst == self.addr:
             self.deliver(packet)
-        else:
-            self.forward(packet)
-
-    def forward(self, packet: Packet) -> None:
-        """Route a transit packet out the next-hop interface."""
+            return
         packet.ttl -= 1
         if packet.ttl <= 0:
             self.ttl_drops += 1
@@ -491,22 +351,6 @@ class Router(Node):
     conditioners on its interfaces and (priority) qdiscs on its egress
     ports — see :mod:`repro.diffserv`.
     """
-
-    def receive(self, packet: Packet, iface: Interface) -> None:
-        # Specialised copy of Node.receive: a transit packet skips one
-        # level of dispatch on the router hot path.
-        if packet.dst == self.addr:
-            self.deliver(packet)
-            return
-        packet.ttl -= 1
-        if packet.ttl <= 0:
-            self.ttl_drops += 1
-            return
-        egress = self.routes.get(packet.dst)
-        if egress is None:
-            self.no_route_drops += 1
-            return
-        egress.send(packet)
 
     def deliver(self, packet: Packet) -> None:
         # Routers do not terminate transport flows in this model.

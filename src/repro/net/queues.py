@@ -8,7 +8,7 @@ in :mod:`repro.diffserv.phb` and implements the same interface.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Optional
 
 from .packet import Packet
 
@@ -60,30 +60,6 @@ class Qdisc:
         packet, and the following dequeue returns it too.
         """
         raise NotImplementedError
-
-    def dequeue_batch(self, limit: int) -> List[Packet]:
-        """Dequeue up to ``limit`` packets in one call.
-
-        Burst contract: the returned list is *exactly* what ``limit``
-        sequential :meth:`dequeue` calls would have produced with no
-        interleaved enqueues or clock advances — same packets, same
-        order, same drop/mark decisions, same sojourn stamps, same
-        backlog afterwards. The default implementation guarantees this
-        by construction (it loops ``dequeue``); disciplines may
-        override it with a faster drain but must preserve the
-        equivalence (property-tested over every registered discipline).
-        The batched egress path (:class:`repro.net.node.Interface` in
-        batch/hybrid modes) is the only kernel-side caller.
-        """
-        out: List[Packet] = []
-        append = out.append
-        dequeue = self.dequeue
-        while len(out) < limit:
-            packet = dequeue()
-            if packet is None:
-                break
-            append(packet)
-        return out
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -160,18 +136,6 @@ class DropTailQueue(Qdisc):
 
     def peek(self) -> Optional[Packet]:
         return self._queue[0] if self._queue else None
-
-    def dequeue_batch(self, limit: int) -> List[Packet]:
-        # Inlined drain: one bounds check and one byte-sum for the
-        # whole burst instead of a method dispatch per packet.
-        queue = self._queue
-        if not queue:
-            return []
-        n = min(limit, len(queue))
-        popleft = queue.popleft
-        out = [popleft() for _ in range(n)]
-        self._bytes -= sum(p.size for p in out)
-        return out
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -39,11 +39,14 @@ def _set(reg: MetricsRegistry, name: str, value: float) -> None:
 
 
 def _aqm_metrics(reg: MetricsRegistry, base: str, queue) -> None:
-    """RED/WRED instrumentation: mark/drop split plus the EWMA gauge."""
+    """AQM instrumentation: the mark/drop split every discipline keeps,
+    plus the EWMA queue gauge where there is one (RED/WRED only — CoDel,
+    PIE and DualPI2 act on sojourn time and keep no average)."""
     _set(reg, f"{base}.early_drops", queue.early_drops)
     _set(reg, f"{base}.tail_drops", queue.tail_drops)
     _set(reg, f"{base}.ecn_marks", queue.ecn_marks)
-    reg.gauge(f"{base}.avg_queue_packets").set(queue.avg)
+    if hasattr(queue, "avg"):
+        reg.gauge(f"{base}.avg_queue_packets").set(queue.avg)
 
 
 def _qdisc_metrics(reg: MetricsRegistry, base: str, qdisc) -> None:

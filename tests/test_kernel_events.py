@@ -108,6 +108,21 @@ class TestClockAndRun:
         with pytest.raises(ValueError):
             sim.run(until=1.0)
 
+    def test_run_without_until_drains_like_until_inf(self):
+        def load(sim):
+            cancelled = sim.call_in(2.0, lambda: None)
+            sim.call_in(1.0, cancelled.cancel)
+            sim.call_fast(3.0, lambda arg: sim.timeout(4.0), None)
+            return sim
+
+        bare, bounded = load(Simulator(seed=1)), load(Simulator(seed=1))
+        bare.run()
+        bounded.run(until=float("inf"))
+        # Drained to the last live entry, not parked at infinity.
+        assert bare.now == bounded.now == 7.0
+        assert bare.events_processed == bounded.events_processed == 3
+        assert bare.peek() == float("inf")
+
     def test_peek_empty(self, sim):
         assert sim.peek() == float("inf")
 

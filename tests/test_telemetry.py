@@ -1,8 +1,11 @@
 """Tests for the cross-layer telemetry subsystem (repro.telemetry)."""
 
+import json
+
 import pytest
 
 from repro import telemetry
+from repro.aqm import AQM_MODES, AqmPolicy
 from repro.core.mpichgq import MpichGQ
 from repro.diffserv import EF
 from repro.kernel import Simulator
@@ -15,10 +18,10 @@ from repro.telemetry import (
 )
 
 
-def pingpong_deployment(seed=7):
+def pingpong_deployment(seed=7, aqm=None):
     sim = Simulator(seed=seed)
     tb = garnet(sim, backbone_bandwidth=mbps(10))
-    gq = MpichGQ.on_garnet(tb)
+    gq = MpichGQ.on_garnet(tb, aqm=aqm)
     return sim, tb, gq
 
 
@@ -211,6 +214,24 @@ class TestCollectAndSnapshot:
         assert len(reg.names("tcp")) > 0  # per-connection counters
         retrans = [n for n in reg.names("tcp") if n.endswith(".retransmits")]
         assert retrans  # instruments exist even when the count is 0
+
+    @pytest.mark.parametrize("mode", AQM_MODES)
+    def test_collect_and_export_under_every_aqm_mode(self, mode, tmp_path):
+        # Only RED/WRED bands keep an EWMA queue average; the sojourn-
+        # time disciplines (CoDel, PIE, DualPI2) must still scrape.
+        sim, _, gq = pingpong_deployment(aqm=AqmPolicy(mode=mode))
+        tel = Telemetry()
+        tel.attach(sim)
+        tel.observe(gq)
+        run_one_message(sim, gq)
+        tel.collect()
+        gauges = [
+            n for n in tel.registry.names("net")
+            if n.endswith(".avg_queue_packets")
+        ]
+        assert bool(gauges) == mode.startswith("wred")
+        path = telemetry.export_json(tel, tmp_path / "metrics.json")
+        assert json.loads(path.read_text())["metrics"]
 
     def test_scraped_metrics_cover_resilience_counters(self):
         # The resilient control plane publishes its recovery and
