@@ -16,6 +16,7 @@ import re
 import pytest
 
 from repro import telemetry
+from repro.experiments.runner import make_telemetry
 
 
 def pytest_addoption(parser):
@@ -45,20 +46,7 @@ def _telemetry_session(request):
     if out is None:
         yield None
         return
-    # Same per-packet exclusions as the experiment runner: the
-    # registry already summarises tx/segment/mark volumes, and an
-    # unfiltered trace of one benchmark run is hundreds of MB.
-    tel = telemetry.Telemetry(
-        trace=telemetry.FlowTrace(
-            exclude=(
-                ("net", "tx"),
-                ("tcp", "segment"),
-                ("diffserv", "mark"),
-            ),
-            limit=200_000,
-        )
-    )
-    telemetry.install(tel)
+    tel = telemetry.install(make_telemetry())
     try:
         yield tel
     finally:

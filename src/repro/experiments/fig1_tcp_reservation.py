@@ -13,6 +13,8 @@ bucket rule) below that rate, UDP contention on the backbone.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..core import Shaper
@@ -23,9 +25,83 @@ from ..net.packet import PROTO_TCP
 from ..transport.tcp import TcpConfig
 from .common import ExperimentResult, build_deployment
 
-__all__ = ["run"]
+__all__ = ["run", "install"]
 
 _PORT = 5501
+
+# Period-correct TCP: classic Reno recovery, where multiple drops per
+# window frequently end in a retransmission timeout — the "TCP kicks
+# into slow start mode" dips of the paper's trace.
+_TCP_CONFIG = TcpConfig(
+    sndbuf=1024 * 1024, rcvbuf=1024 * 1024, recovery="reno"
+)
+
+
+def install(
+    sim,
+    gara,
+    testbed,
+    tcp_src,
+    tcp_dst,
+    attempted_rate: float,
+    reserved_rate: float,
+    duration: float,
+    owns: Callable[[str], bool] = lambda name: True,
+) -> dict:
+    """Figure 1's reservation and its two application processes.
+
+    The reservation and its flow binding are control-plane state, made
+    on every caller; the draining server and the paced client start
+    only where ``owns`` names their host (a PDES shard owns a subset,
+    a serial run everything). Returns the dict the processes publish
+    their connections in, under ``"server"`` and ``"client"``.
+    """
+    # Figure 1 predates the paper's bandwidth/40 depth rule (§4.3); the
+    # premium service it exercised had a generous burst allowance, so
+    # we use a deep bucket (bandwidth/16 bytes, ~0.5 s of
+    # burst at the attempted rate) here.
+    spec = NetworkReservationSpec(
+        testbed.premium_src, testbed.premium_dst, reserved_rate,
+        bucket_divisor=16.0,
+    )
+    gara.bind(
+        gara.reserve(spec),
+        FlowSpec(
+            src=testbed.premium_src.addr,
+            dst=testbed.premium_dst.addr,
+            dport=_PORT,
+            proto=PROTO_TCP,
+        ),
+    )
+    state: dict = {}
+
+    def server(listener):
+        conn = yield listener.accept()
+        state["server"] = conn
+        while True:
+            n = yield conn.recv(1 << 20)
+            if n == 0:
+                return
+
+    def client():
+        conn = tcp_src.connect(
+            testbed.premium_dst.addr, _PORT, config=_TCP_CONFIG
+        )
+        state["client"] = conn
+        yield conn.established_event
+        # Application paced at the attempted rate, 16 KB writes.
+        shaper = Shaper(sim, rate=attempted_rate, depth_bytes=64 * 1024)
+        chunk = 16 * 1024
+        while sim.now < duration:
+            yield from shaper.acquire(chunk)
+            yield conn.send(chunk)
+
+    if owns(testbed.premium_dst.name):
+        listener = tcp_dst.listen(_PORT, config=_TCP_CONFIG)
+        sim.process(server(listener), name="fig1-server")
+    if owns(testbed.premium_src.name):
+        sim.process(client(), name="fig1-client")
+    return state
 
 
 def run(
@@ -38,76 +114,68 @@ def run(
     mode: str = "packet",
     contention_rate: float = mbps(30.0),
     access_bandwidth: float = mbps(100.0),
+    shards: int = 1,
 ) -> ExperimentResult:
+    """Produce the Figure 1 trace.
+
+    ``shards > 1`` runs the same flow through the PDES ``fig1``
+    scenario (:mod:`repro.pdes`), whose merged trace is byte-identical
+    to the serial one; that scenario is packet-mode on the paper's
+    100 Mb/s access links with 1 s bins.
+    """
     if duration is None:
         duration = 12.0 if quick else 100.0
-    # Period-correct TCP: classic Reno recovery, where multiple drops
-    # per window frequently end in a retransmission timeout — the
-    # "TCP kicks into slow start mode" dips of the paper's trace.
-    cfg = TcpConfig(
-        sndbuf=1024 * 1024, rcvbuf=1024 * 1024, recovery="reno"
-    )
-    dep = build_deployment(
-        seed=seed,
-        backbone_bandwidth=mbps(155.0),
-        access_bandwidth=access_bandwidth,
-        backbone_delay=2e-3,
-        contention_rate=contention_rate,
-        tcp_config=cfg,
-        mode=mode,
-    )
-    sim, tb, gq = dep.sim, dep.testbed, dep.gq
+    if shards > 1:
+        if (mode, bin_seconds, access_bandwidth) != ("packet", 1.0, mbps(100.0)):
+            raise ValueError(
+                "the sharded fig1 scenario fixes mode, bin_seconds and "
+                "access_bandwidth at their defaults"
+            )
+        # Imported here: repro.pdes.scenarios imports install() above.
+        from ..pdes import run_scenario
 
-    # The reservation: premium service at 40 Mb/s for the data flow.
-    # Figure 1 predates the paper's bandwidth/40 depth rule (§4.3); the
-    # premium service it exercised had a generous burst allowance, so
-    # we use a deep bucket (bandwidth/16 bytes, ~0.5 s of
-    # burst at the attempted rate) here.
-    spec = NetworkReservationSpec(
-        tb.premium_src, tb.premium_dst, reserved_rate, bucket_divisor=16.0
-    )
-    reservation = gq.gara.reserve(spec)
-    gq.gara.bind(
-        reservation,
-        FlowSpec(
-            src=tb.premium_src.addr,
-            dst=tb.premium_dst.addr,
-            dport=_PORT,
-            proto=PROTO_TCP,
-        ),
-    )
-
-    tcp_src = gq.world.procs[0].tcp
-    tcp_dst = gq.world.procs[1].tcp
-    listener = tcp_dst.listen(_PORT, config=cfg)
-    state = {}
-
-    def server():
-        conn = yield listener.accept()
-        state["server"] = conn
-        while True:
-            n = yield conn.recv(1 << 20)
-            if n == 0:
-                return
-
-    def client():
-        conn = tcp_src.connect(tb.premium_dst.addr, _PORT, config=cfg)
-        state["client"] = conn
-        yield conn.established_event
-        # Application paced at the attempted rate, 16 KB writes.
-        shaper = Shaper(sim, rate=attempted_rate, depth_bytes=64 * 1024)
-        chunk = 16 * 1024
-        while sim.now < duration:
-            yield from shaper.acquire(chunk)
-            yield conn.send(chunk)
-
-    sim.process(server(), name="fig1-server")
-    sim.process(client(), name="fig1-client")
-    sim.run(until=duration)
-
-    delivered = state["server"].delivered_counter
-    times, rates = delivered.rate_series(bin_seconds, t_start=0.0, t_end=duration)
-    rates_kbps = rates * 8.0 / 1e3
+        merged = run_scenario(
+            "fig1",
+            seed=seed,
+            shards=shards,
+            duration=duration,
+            params=dict(
+                duration=duration,
+                attempted_rate=attempted_rate,
+                reserved_rate=reserved_rate,
+                contention_rate=contention_rate,
+            ),
+        ).merged
+        times = np.asarray(merged["times"])
+        rates_kbps = np.asarray(merged["rates_kbps"])
+        retransmissions = merged["retransmissions"]
+    else:
+        dep = build_deployment(
+            seed=seed,
+            backbone_bandwidth=mbps(155.0),
+            access_bandwidth=access_bandwidth,
+            backbone_delay=2e-3,
+            contention_rate=contention_rate,
+            tcp_config=_TCP_CONFIG,
+            mode=mode,
+        )
+        sim, gq = dep.sim, dep.gq
+        state = install(
+            sim,
+            gq.gara,
+            dep.testbed,
+            gq.world.procs[0].tcp,
+            gq.world.procs[1].tcp,
+            attempted_rate,
+            reserved_rate,
+            duration,
+        )
+        sim.run(until=duration)
+        times, rates = state["server"].delivered_counter.rate_series(
+            bin_seconds, t_start=0.0, t_end=duration
+        )
+        rates_kbps = rates * 8.0 / 1e3
+        retransmissions = state["client"].retransmissions
 
     steady = rates_kbps[2:]  # skip slow-start warmup bins
     result = ExperimentResult(
@@ -125,7 +193,7 @@ def run(
             "min_kbps": float(np.min(steady)) if len(steady) else 0.0,
             "max_kbps": float(np.max(steady)) if len(steady) else 0.0,
             "std_kbps": float(np.std(steady)) if len(steady) else 0.0,
-            "retransmissions": state["client"].retransmissions,
+            "retransmissions": retransmissions,
         },
     )
     if mode != "packet":

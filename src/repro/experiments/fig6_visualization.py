@@ -78,21 +78,6 @@ def measure_point(
     return app.achieved_bandwidth_kbps(1.0, duration)
 
 
-def _resolve_grid(
-    quick: bool,
-    frame_sizes_kb: Optional[Sequence[int]],
-    reservations_kbps: Optional[Sequence[float]],
-    duration: Optional[float],
-) -> Tuple[Sequence[int], Sequence[float], float]:
-    if frame_sizes_kb is None:
-        frame_sizes_kb = FRAME_SIZES_KB[::3] if quick else FRAME_SIZES_KB
-    if reservations_kbps is None:
-        reservations_kbps = QUICK_RESERVATIONS if quick else FULL_RESERVATIONS
-    if duration is None:
-        duration = 4.0 if quick else 10.0
-    return frame_sizes_kb, reservations_kbps, duration
-
-
 def plan_points(
     quick: bool = False,
     frame_sizes_kb: Optional[Sequence[int]] = None,
@@ -102,14 +87,17 @@ def plan_points(
     """The measurement grid as independent jobs.
 
     Returns ``[(key, measure_point_kwargs), ...]`` where ``key`` is
-    ``(frame_kb, reservation_kbps)``. Feeding the measured values back
-    through :func:`run`'s ``point_results`` reproduces the serial
-    result exactly — each grid point builds its own deployment from the
-    seed, so evaluation order (or process) cannot matter.
+    ``(frame_kb, reservation_kbps)``. Each grid point builds its own
+    deployment from the seed, so evaluation order (or process) cannot
+    matter: :func:`run` assembles the same result from values measured
+    anywhere.
     """
-    frame_sizes_kb, reservations_kbps, duration = _resolve_grid(
-        quick, frame_sizes_kb, reservations_kbps, duration
-    )
+    if frame_sizes_kb is None:
+        frame_sizes_kb = FRAME_SIZES_KB[::3] if quick else FRAME_SIZES_KB
+    if reservations_kbps is None:
+        reservations_kbps = QUICK_RESERVATIONS if quick else FULL_RESERVATIONS
+    if duration is None:
+        duration = 4.0 if quick else 10.0
     return [
         (
             (frame_kb, reservation),
@@ -130,37 +118,35 @@ def run(
     frame_sizes_kb: Optional[Sequence[int]] = None,
     reservations_kbps: Optional[Sequence[float]] = None,
     duration: Optional[float] = None,
-    point_results: Optional[Dict[Tuple[int, float], float]] = None,
+    cell_results: Optional[Dict[Tuple[int, float], float]] = None,
 ) -> ExperimentResult:
     """Produce the Figure 6 result.
 
-    ``point_results`` optionally supplies precomputed grid values
-    (keyed as in :func:`plan_points`); the parallel runner uses this so
-    merging goes through the exact same assembly code as a serial run.
+    ``cell_results`` supplies grid values measured elsewhere (keyed as
+    in :func:`plan_points`); without it the plan is measured here.
     """
-    frame_sizes_kb, reservations_kbps, duration = _resolve_grid(
-        quick, frame_sizes_kb, reservations_kbps, duration
-    )
+    plan = plan_points(quick, frame_sizes_kb, reservations_kbps, duration)
+    if cell_results is None:
+        cell_results = {
+            key: measure_point(seed=seed, **kwargs) for key, kwargs in plan
+        }
 
     result = ExperimentResult(
         experiment="fig6",
         description="visualization app (10 fps) throughput vs reservation",
         headers=["target_kbps", "reservation_kbps", "throughput_kbps"],
     )
-    for frame_kb in frame_sizes_kb:
+    curves: Dict[str, Tuple[list, list]] = {}
+    for key, _ in plan:
+        frame_kb, reservation = key
         target = frame_kb * KB * 8 * 10 / 1e3
-        xs, ys = [], []
-        for reservation in reservations_kbps:
-            if point_results is not None:
-                throughput = point_results[(frame_kb, reservation)]
-            else:
-                throughput = measure_point(
-                    frame_kb, reservation, seed=seed, duration=duration
-                )
-            result.rows.append([target, reservation, throughput])
-            xs.append(reservation)
-            ys.append(throughput)
-        result.series[f"{target:.0f}Kb/s"] = (
+        throughput = cell_results[key]
+        result.rows.append([target, reservation, throughput])
+        xs, ys = curves.setdefault(f"{target:.0f}Kb/s", ([], []))
+        xs.append(reservation)
+        ys.append(throughput)
+    for name, (xs, ys) in curves.items():
+        result.series[name] = (
             np.asarray(xs, dtype=float),
             np.asarray(ys, dtype=float),
         )

@@ -222,25 +222,19 @@ def measure_cell(
     return cell
 
 
-def _resolve_duration(quick: bool, duration: Optional[float]) -> float:
-    if duration is not None:
-        return duration
-    return 20.0 if quick else 40.0
-
-
 def plan_cells(
     quick: bool = False,
     duration: Optional[float] = None,
 ) -> List[Tuple[str, dict]]:
     """The two flavors as independent jobs, keyed by flavor name.
 
-    Each cell builds a fresh deployment from the seed, so the flavors
-    parallelise without changing any value; :func:`run`'s
-    ``cell_results`` merges them through the serial assembly path.
+    Each cell builds a fresh deployment from the seed, so :func:`run`
+    assembles the same result from flavors measured anywhere.
     """
-    resolved = _resolve_duration(quick, duration)
+    if duration is None:
+        duration = 20.0 if quick else 40.0
     return [
-        (flavor, dict(flavor=flavor, duration=resolved))
+        (flavor, dict(flavor=flavor, duration=duration))
         for flavor in FLAVORS
     ]
 
@@ -253,11 +247,14 @@ def run(
 ) -> ExperimentResult:
     """Compare the flavors on SLO compliance under identical chaos.
 
-    ``cell_results`` optionally supplies precomputed flavor
-    measurements (keyed as in :func:`plan_cells`) so the parallel
-    runner merges through the same assembly code as a serial run.
+    ``cell_results`` supplies flavor measurements made elsewhere (keyed
+    as in :func:`plan_cells`); without it the plan is measured here.
     """
-    resolved = _resolve_duration(quick, duration)
+    plan = plan_cells(quick, duration)
+    if cell_results is None:
+        cell_results = {
+            key: measure_cell(seed=seed, **kwargs) for key, kwargs in plan
+        }
     result = ExperimentResult(
         experiment="fig_adaptation",
         description=(
@@ -281,12 +278,8 @@ def run(
         ],
     )
     cells = {}
-    for flavor in FLAVORS:
-        if cell_results is not None:
-            cell = cell_results[flavor]
-        else:
-            cell = measure_cell(flavor, seed=seed, duration=resolved)
-        cells[flavor] = cell
+    for flavor, _ in plan:
+        cell = cells[flavor] = cell_results[flavor]
         result.rows.append([
             flavor,
             cell["compliance"],

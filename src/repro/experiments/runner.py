@@ -3,27 +3,27 @@
 Usage::
 
     mpichgq-experiments [--quick] [--seed N] [--out DIR] [--parallel N]
-                        [exp ...]
+                        [--mode M] [--shards N] [exp ...]
 
-where ``exp`` is any of: fig1 fig5 fig6 fig7 table1 table1_aqm
-table1_l4s fig8 fig9 fig_adaptation garnet_xl (default: all, in paper
-order). ``--quick`` runs the scaled-down variants the
-benchmark suite uses. ``--parallel N`` fans the work out over N worker
-processes (see :mod:`repro.experiments.parallel`); results are
-identical to a serial run except for ``elapsed_seconds``. ``--shards
-N`` partitions a single simulation across N PDES workers (see
-:mod:`repro.pdes`) for the experiments that support it; merged results
-are byte-identical to the 1-shard run.
+where ``exp`` is any key of :data:`EXPERIMENTS` (default: all, in paper
+order). ``--quick`` runs the scaled-down variants the benchmark suite
+uses. :data:`EXPERIMENTS` declares, once, what each experiment is: its
+``run``, the independent cells it splits into (if any), the ``--mode``
+values it accepts and whether ``--shards`` can partition it. One
+executor (:mod:`repro.experiments.parallel`) runs that declaration
+every way: in this process, or over ``--parallel N`` workers with
+results identical except for ``elapsed_seconds``; ``--shards N``
+partitions a single simulation across N PDES workers (see
+:mod:`repro.pdes`) with merged results byte-identical to one shard.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
-import time
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .. import telemetry
 from . import (
@@ -42,20 +42,98 @@ from . import (
 from .common import MODES
 from .report import render_result
 
-__all__ = ["main", "EXPERIMENTS", "make_telemetry"]
+__all__ = ["main", "Cells", "Experiment", "EXPERIMENTS", "make_telemetry"]
+
+
+class Cells(NamedTuple):
+    """An experiment's grid of independent simulations.
+
+    Every cell builds its own deployment from the seed, so its value
+    cannot depend on which process measured it or in what order;
+    ``run(cell_results={key: value})`` assembles the result.
+    """
+
+    #: ``plan(quick=) -> [(key, measure_kwargs), ...]``
+    plan: Callable
+    #: ``measure(seed=, **measure_kwargs) -> value``
+    measure: Callable
+    #: ``weight(key) -> rough --quick seconds`` (submission order only)
+    weight: Callable
+
+
+class Experiment(NamedTuple):
+    """What the executor needs to know about one experiment."""
+
+    #: ``run(quick=, seed=) -> ExperimentResult``; also takes
+    #: ``cell_results=`` with cells, ``mode=`` with several modes and
+    #: ``shards=`` when shardable.
+    run: Callable
+    #: Rough --quick wall-clock seconds of a whole run, used only for
+    #: longest-first submission. Full runs scale every entry up roughly
+    #: uniformly, which preserves the ordering.
+    weight: float
+    cells: Optional[Cells] = None
+    modes: Tuple[str, ...] = ("packet",)
+    shardable: bool = False
+
 
 EXPERIMENTS = {
-    "fig1": fig1_tcp_reservation.run,
-    "fig5": fig5_pingpong.run,
-    "fig6": fig6_visualization.run,
-    "fig7": fig7_burstiness_traces.run,
-    "table1": table1_burstiness.run,
-    "table1_aqm": table1_aqm.run,
-    "table1_l4s": table1_l4s.run,
-    "fig8": fig8_cpu_reservation.run,
-    "fig9": fig9_combined.run,
-    "fig_adaptation": fig_adaptation.run,
-    "garnet_xl": garnet_xl.run,
+    "fig1": Experiment(
+        fig1_tcp_reservation.run, 4.0, modes=MODES, shardable=True
+    ),
+    "fig5": Experiment(fig5_pingpong.run, 8.5),
+    "fig6": Experiment(
+        fig6_visualization.run,
+        14.0,
+        Cells(
+            fig6_visualization.plan_points,
+            fig6_visualization.measure_point,
+            lambda key: 2.0,
+        ),
+    ),
+    "fig7": Experiment(fig7_burstiness_traces.run, 2.0),
+    # A table1 cell runs ~5-10 bisection probes; probe cost grows with
+    # the cell's target bandwidth (key[0], Kb/s), so weight by it. The
+    # AQM tables' cells are single runs of the same probe.
+    "table1": Experiment(
+        table1_burstiness.run,
+        60.0,
+        Cells(
+            table1_burstiness.plan_cells,
+            table1_burstiness.required_reservation,
+            lambda key: key[0] * 0.008,
+        ),
+    ),
+    "table1_aqm": Experiment(
+        table1_aqm.run,
+        40.0,
+        Cells(
+            table1_aqm.plan_cells,
+            table1_aqm.measure_cell,
+            lambda key: key[0] * 0.001,
+        ),
+    ),
+    "table1_l4s": Experiment(
+        table1_l4s.run,
+        50.0,
+        Cells(
+            table1_l4s.plan_cells,
+            table1_l4s.measure_cell,
+            lambda key: key[0] * 0.001,
+        ),
+    ),
+    "fig8": Experiment(fig8_cpu_reservation.run, 0.5),
+    "fig9": Experiment(fig9_combined.run, 11.0),
+    "fig_adaptation": Experiment(
+        fig_adaptation.run,
+        5.0,
+        Cells(
+            fig_adaptation.plan_cells,
+            fig_adaptation.measure_cell,
+            lambda key: 2.5,
+        ),
+    ),
+    "garnet_xl": Experiment(garnet_xl.run, 25.0, shardable=True),
 }
 
 
@@ -113,6 +191,8 @@ def _report(name, result, elapsed, summary, args) -> None:
             json.dumps(_payload(result, args.quick, args.seed, elapsed), indent=2)
         )
         print(f"[wrote {path}]\n")
+        if summary is not None:
+            print(f"[wrote {args.out / name}.metrics.json and .csv]\n")
 
 
 def main(argv=None) -> int:
@@ -159,10 +239,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Validate experiment names explicitly. (The old
-    # ``choices=[[], *EXPERIMENTS.keys()]`` hack — needed to let the
-    # empty nargs="*" default pass validation — produced the baffling
-    # error ``invalid choice: 'fig2' (choose from [], 'fig1', ...)``.)
     unknown = [name for name in args.experiments if name not in EXPERIMENTS]
     if unknown:
         parser.error(
@@ -174,40 +250,28 @@ def main(argv=None) -> int:
     if args.shards < 1:
         parser.error(f"--shards must be >= 1, got {args.shards}")
 
-    selected_early = args.experiments or list(EXPERIMENTS)
-    if args.shards > 1:
-        import inspect
-
-        if args.parallel > 1:
-            parser.error(
-                "--shards partitions one simulation across processes and "
-                "--parallel fans whole experiments out; pick one"
-            )
-        unsupported = [
-            name for name in selected_early
-            if "shards" not in inspect.signature(EXPERIMENTS[name]).parameters
-        ]
-        if unsupported:
-            parser.error(
-                f"--shards is not supported by: {', '.join(unsupported)} "
-                f"(only PDES-backed experiments take a shards parameter)"
-            )
-    if args.mode != "packet":
-        import inspect
-
-        if args.parallel > 1:
-            parser.error("--mode hybrid runs serially; drop --parallel")
-
-        unsupported = [
-            name for name in selected_early
-            if "mode" not in inspect.signature(EXPERIMENTS[name]).parameters
-        ]
-        if unsupported:
-            parser.error(
-                f"--mode {args.mode} is not supported by: "
-                f"{', '.join(unsupported)} (only experiments taking a "
-                f"mode parameter run in non-packet modes)"
-            )
+    selected = args.experiments or list(EXPERIMENTS)
+    if args.shards > 1 and args.parallel > 1:
+        # Pool workers are daemonic: they cannot fork shard workers.
+        parser.error(
+            "--shards partitions one simulation across processes and "
+            "--parallel fans whole experiments out; pick one"
+        )
+    if args.shards > 1 and args.mode != "packet":
+        parser.error(f"--mode {args.mode} has no sharded build; drop --shards")
+    undeclared = {
+        f"--shards {args.shards}": [
+            name for name in selected
+            if args.shards > 1 and not EXPERIMENTS[name].shardable
+        ],
+        f"--mode {args.mode}": [
+            name for name in selected
+            if args.mode not in EXPERIMENTS[name].modes
+        ],
+    }
+    for flag, names in undeclared.items():
+        if names:
+            parser.error(f"{flag} is not supported by: {', '.join(names)}")
 
     # Telemetry is on whenever results are being written out, unless
     # explicitly disabled; --telemetry forces it on for console runs.
@@ -215,60 +279,19 @@ def main(argv=None) -> int:
         args.telemetry if args.telemetry is not None else args.out is not None
     )
 
-    selected = args.experiments or list(EXPERIMENTS)
+    from .parallel import run_parallel
 
-    if args.parallel > 1:
-        from .parallel import run_parallel
-
-        results = run_parallel(
-            selected,
-            quick=args.quick,
-            seed=args.seed,
-            processes=args.parallel,
-            collect=collect_metrics,
-            out=args.out,
-        )
-        for name, result, elapsed, summary in results:
-            _report(name, result, elapsed, summary, args)
-        return 0
-
-    for name in selected:
-        tel = None
-        if collect_metrics:
-            tel = make_telemetry()
-            telemetry.install(tel)
-        started = time.time()
-        # A simulation run allocates at a steady rate and drops whole
-        # object graphs at once; generational GC only adds pauses, so
-        # it is suspended for the duration of the experiment.
-        gc.disable()
-        try:
-            kwargs = {"quick": args.quick, "seed": args.seed}
-            if args.mode != "packet":
-                kwargs["mode"] = args.mode
-            if args.shards > 1:
-                kwargs["shards"] = args.shards
-            result = EXPERIMENTS[name](**kwargs)
-        finally:
-            gc.enable()
-            gc.collect()
-            if tel is not None:
-                telemetry.uninstall()
-        elapsed = time.time() - started
-        summary = None
-        if tel is not None:
-            tel.collect()
-            snap = tel.snapshot()
-            summary = (len(snap["metrics"]), snap["span_count"])
+    for name, result, elapsed, summary in run_parallel(
+        selected,
+        quick=args.quick,
+        seed=args.seed,
+        processes=args.parallel,
+        collect=collect_metrics,
+        out=args.out,
+        mode=args.mode,
+        shards=args.shards,
+    ):
         _report(name, result, elapsed, summary, args)
-        if tel is not None and args.out is not None:
-            meta = {"experiment": name, "quick": args.quick,
-                    "seed": args.seed}
-            mpath = args.out / f"{name}.metrics.json"
-            telemetry.export_json(tel, mpath, meta=meta)
-            cpath = args.out / f"{name}.metrics.csv"
-            telemetry.export_csv(tel, cpath)
-            print(f"[wrote {mpath} and {cpath}]\n")
     return 0
 
 

@@ -29,7 +29,7 @@ from ..apps import VisualizationPipeline
 from ..net import KB, kbps, mbps
 from ..transport.tcp import TcpConfig
 from .common import ExperimentResult, build_deployment
-from .table1_burstiness import CONFIGS, FULL_BANDWIDTHS, QUICK_BANDWIDTHS
+from .table1_burstiness import grid_cells
 
 __all__ = ["run", "measure_cell", "plan_cells", "RES_FACTOR", "MODES"]
 
@@ -121,18 +121,6 @@ def measure_cell(
     }
 
 
-def _resolve_grid(
-    quick: bool,
-    bandwidths_kbps: Optional[Sequence[float]],
-    duration: Optional[float],
-) -> Tuple[Sequence[float], float]:
-    if bandwidths_kbps is None:
-        bandwidths_kbps = QUICK_BANDWIDTHS if quick else FULL_BANDWIDTHS
-    if duration is None:
-        duration = 5.0 if quick else 8.0
-    return bandwidths_kbps, duration
-
-
 def plan_cells(
     quick: bool = False,
     bandwidths_kbps: Optional[Sequence[float]] = None,
@@ -140,24 +128,14 @@ def plan_cells(
 ) -> List[Tuple[Tuple[float, str, str], dict]]:
     """The grid as independent jobs, keyed ``(bandwidth, config, mode)``.
 
-    Each cell builds a fresh deployment from the seed, so cells
-    parallelise without changing any value; :func:`run`'s
-    ``cell_results`` merges them through the serial assembly path.
+    Each cell builds a fresh deployment from the seed, so :func:`run`
+    assembles the same table from cells measured anywhere.
     """
-    bandwidths_kbps, duration = _resolve_grid(quick, bandwidths_kbps, duration)
     return [
-        (
-            (bandwidth, label, mode),
-            dict(
-                bandwidth_kbps=bandwidth,
-                fps=fps,
-                bucket_divisor=divisor,
-                mode=mode,
-                duration=duration,
-            ),
+        ((bandwidth, label, mode), dict(kwargs, mode=mode))
+        for bandwidth, label, kwargs in grid_cells(
+            quick, bandwidths_kbps, duration
         )
-        for bandwidth in bandwidths_kbps
-        for label, fps, divisor in CONFIGS
         for mode in MODES
     ]
 
@@ -171,11 +149,14 @@ def run(
 ) -> ExperimentResult:
     """Produce the AQM-ablation table.
 
-    ``cell_results`` optionally supplies precomputed cell measurements
-    (keyed as in :func:`plan_cells`) so the parallel runner merges
-    through the same assembly code as a serial run.
+    ``cell_results`` supplies cell measurements made elsewhere (keyed
+    as in :func:`plan_cells`); without it the plan is measured here.
     """
-    bandwidths_kbps, duration = _resolve_grid(quick, bandwidths_kbps, duration)
+    plan = plan_cells(quick, bandwidths_kbps, duration)
+    if cell_results is None:
+        cell_results = {
+            key: measure_cell(seed=seed, **kwargs) for key, kwargs in plan
+        }
 
     result = ExperimentResult(
         experiment="table1_aqm",
@@ -196,35 +177,16 @@ def run(
     )
     totals = {mode: {"resent": 0, "timeouts": 0, "throughput": 0.0}
               for mode in MODES}
-    for bandwidth in bandwidths_kbps:
-        for label, fps, divisor in CONFIGS:
-            for mode in MODES:
-                if cell_results is not None:
-                    cell = cell_results[(bandwidth, label, mode)]
-                else:
-                    cell = measure_cell(
-                        bandwidth,
-                        fps,
-                        divisor,
-                        mode,
-                        seed=seed,
-                        duration=duration,
-                    )
-                result.rows.append([
-                    bandwidth,
-                    label,
-                    mode,
-                    cell["reservation_kbps"],
-                    cell["throughput_kbps"],
-                    cell["resent_segments"],
-                    cell["timeouts"],
-                    cell["early_drops"],
-                    cell["tail_drops"],
-                    cell["ecn_marks"],
-                ])
-                totals[mode]["resent"] += cell["resent_segments"]
-                totals[mode]["timeouts"] += cell["timeouts"]
-                totals[mode]["throughput"] += cell["throughput_kbps"]
+    for key, _ in plan:
+        bandwidth, label, mode = key
+        cell = cell_results[key]
+        result.rows.append(
+            [bandwidth, label, mode]
+            + [cell[column] for column in result.headers[3:]]
+        )
+        totals[mode]["resent"] += cell["resent_segments"]
+        totals[mode]["timeouts"] += cell["timeouts"]
+        totals[mode]["throughput"] += cell["throughput_kbps"]
     for mode in MODES:
         key = mode.replace("+", "_")
         result.extra[f"{key}_resent_segments"] = totals[mode]["resent"]

@@ -20,14 +20,14 @@ throughput, by bisection over the reservation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..diffserv.token_bucket import LARGE_DEPTH_DIVISOR, NORMAL_DEPTH_DIVISOR
 from ..net import KB
 from .common import ExperimentResult
 from .fig6_visualization import measure_point
 
-__all__ = ["run", "required_reservation", "plan_cells"]
+__all__ = ["run", "required_reservation", "plan_cells", "grid_cells"]
 
 FULL_BANDWIDTHS = (400, 800, 1600, 2400)
 QUICK_BANDWIDTHS = (400, 1600)
@@ -79,17 +79,29 @@ def required_reservation(
     return hi
 
 
-def _resolve_grid(
+def grid_cells(
     quick: bool,
     bandwidths_kbps: Optional[Sequence[float]],
     duration: Optional[float],
-) -> Tuple[Sequence[float], float, float]:
+) -> Iterator[Tuple[float, str, dict]]:
+    """Walk the burstiness grid every Table 1 variant measures.
+
+    Yields ``(bandwidth_kbps, config_label, kwargs)`` with the
+    ``bandwidth_kbps / fps / bucket_divisor / duration`` keywords all
+    their cell functions share.
+    """
     if bandwidths_kbps is None:
         bandwidths_kbps = QUICK_BANDWIDTHS if quick else FULL_BANDWIDTHS
     if duration is None:
         duration = 5.0 if quick else 8.0
-    resolution = 100.0 if quick else 50.0
-    return bandwidths_kbps, duration, resolution
+    for bandwidth in bandwidths_kbps:
+        for label, fps, divisor in CONFIGS:
+            yield bandwidth, label, dict(
+                bandwidth_kbps=bandwidth,
+                fps=fps,
+                bucket_divisor=divisor,
+                duration=duration,
+            )
 
 
 def plan_cells(
@@ -102,26 +114,15 @@ def plan_cells(
     Returns ``[(key, required_reservation_kwargs), ...]`` with ``key``
     ``(bandwidth_kbps, config_label)``. Each cell's bisection is
     internally sequential but cells are independent — each probe
-    builds a fresh deployment from the seed — so they parallelise
-    without changing any value; :func:`run`'s ``cell_results`` merges
-    them through the serial assembly path.
+    builds a fresh deployment from the seed — so :func:`run` assembles
+    the same table from values measured anywhere.
     """
-    bandwidths_kbps, duration, resolution = _resolve_grid(
-        quick, bandwidths_kbps, duration
-    )
+    resolution = 100.0 if quick else 50.0
     return [
-        (
-            (bandwidth, label),
-            dict(
-                bandwidth_kbps=bandwidth,
-                fps=fps,
-                bucket_divisor=divisor,
-                duration=duration,
-                resolution_kbps=resolution,
-            ),
+        ((bandwidth, label), dict(kwargs, resolution_kbps=resolution))
+        for bandwidth, label, kwargs in grid_cells(
+            quick, bandwidths_kbps, duration
         )
-        for bandwidth in bandwidths_kbps
-        for label, fps, divisor in CONFIGS
     ]
 
 
@@ -134,13 +135,15 @@ def run(
 ) -> ExperimentResult:
     """Produce the Table 1 result.
 
-    ``cell_results`` optionally supplies precomputed cell values
-    (keyed as in :func:`plan_cells`) so the parallel runner merges
-    through the same assembly code as a serial run.
+    ``cell_results`` supplies cell values measured elsewhere (keyed as
+    in :func:`plan_cells`); without it the plan is measured here.
     """
-    bandwidths_kbps, duration, resolution = _resolve_grid(
-        quick, bandwidths_kbps, duration
-    )
+    plan = plan_cells(quick, bandwidths_kbps, duration)
+    if cell_results is None:
+        cell_results = {
+            key: required_reservation(seed=seed, **kwargs)
+            for key, kwargs in plan
+        }
 
     result = ExperimentResult(
         experiment="table1",
@@ -153,23 +156,11 @@ def run(
             "large_1fps",
         ],
     )
-    for bandwidth in bandwidths_kbps:
-        row = [bandwidth]
-        for label, fps, divisor in CONFIGS:
-            if cell_results is not None:
-                row.append(cell_results[(bandwidth, label)])
-            else:
-                row.append(
-                    required_reservation(
-                        bandwidth,
-                        fps,
-                        divisor,
-                        seed=seed,
-                        duration=duration,
-                        resolution_kbps=resolution,
-                    )
-                )
-        result.rows.append(row)
+    rows: Dict[float, list] = {}
+    for key, _ in plan:
+        bandwidth = key[0]
+        rows.setdefault(bandwidth, [bandwidth]).append(cell_results[key])
+    result.rows = list(rows.values())
     # Headline ratios the paper calls out.
     ratios = [
         row[2] / row[1]

@@ -33,7 +33,7 @@ from ..net import kbps, mbps
 from ..transport.tcp import TcpConfig
 from .common import ExperimentResult, build_deployment
 from .table1_aqm import RES_FACTOR
-from .table1_burstiness import CONFIGS, FULL_BANDWIDTHS, QUICK_BANDWIDTHS
+from .table1_burstiness import grid_cells
 
 __all__ = ["run", "measure_cell", "plan_cells", "MODES"]
 
@@ -131,39 +131,18 @@ def measure_cell(
     }
 
 
-def _resolve_grid(
-    quick: bool,
-    bandwidths_kbps: Optional[Sequence[float]],
-    duration: Optional[float],
-) -> Tuple[Sequence[float], float]:
-    if bandwidths_kbps is None:
-        bandwidths_kbps = QUICK_BANDWIDTHS if quick else FULL_BANDWIDTHS
-    if duration is None:
-        duration = 5.0 if quick else 8.0
-    return bandwidths_kbps, duration
-
-
 def plan_cells(
     quick: bool = False,
     bandwidths_kbps: Optional[Sequence[float]] = None,
     duration: Optional[float] = None,
 ) -> List[Tuple[Tuple[float, str, str], dict]]:
     """The grid as independent jobs, keyed ``(bandwidth, config, mode)``
-    — the same merge contract as :func:`repro.experiments.table1_aqm.plan_cells`."""
-    bandwidths_kbps, duration = _resolve_grid(quick, bandwidths_kbps, duration)
+    — the same contract as :func:`repro.experiments.table1_aqm.plan_cells`."""
     return [
-        (
-            (bandwidth, label, mode),
-            dict(
-                bandwidth_kbps=bandwidth,
-                fps=fps,
-                bucket_divisor=divisor,
-                mode=mode,
-                duration=duration,
-            ),
+        ((bandwidth, label, mode), dict(kwargs, mode=mode))
+        for bandwidth, label, kwargs in grid_cells(
+            quick, bandwidths_kbps, duration
         )
-        for bandwidth in bandwidths_kbps
-        for label, fps, divisor in CONFIGS
         for mode in MODES
     ]
 
@@ -176,7 +155,11 @@ def run(
     cell_results: Optional[Dict[Tuple[float, str, str], Dict[str, float]]] = None,
 ) -> ExperimentResult:
     """Produce the L4S/modern-AQM comparison table."""
-    bandwidths_kbps, duration = _resolve_grid(quick, bandwidths_kbps, duration)
+    plan = plan_cells(quick, bandwidths_kbps, duration)
+    if cell_results is None:
+        cell_results = {
+            key: measure_cell(seed=seed, **kwargs) for key, kwargs in plan
+        }
 
     result = ExperimentResult(
         experiment="table1_l4s",
@@ -206,38 +189,18 @@ def run(
         }
         for mode in MODES
     }
-    for bandwidth in bandwidths_kbps:
-        for label, fps, divisor in CONFIGS:
-            for mode in MODES:
-                if cell_results is not None:
-                    cell = cell_results[(bandwidth, label, mode)]
-                else:
-                    cell = measure_cell(
-                        bandwidth,
-                        fps,
-                        divisor,
-                        mode,
-                        seed=seed,
-                        duration=duration,
-                    )
-                result.rows.append([
-                    bandwidth,
-                    label,
-                    mode,
-                    cell["reservation_kbps"],
-                    cell["throughput_kbps"],
-                    cell["resent_segments"],
-                    cell["timeouts"],
-                    cell["early_drops"],
-                    cell["tail_drops"],
-                    cell["ecn_marks"],
-                    cell["queue_delay_ms"],
-                ])
-                totals[mode]["resent"] += cell["resent_segments"]
-                totals[mode]["timeouts"] += cell["timeouts"]
-                totals[mode]["throughput"] += cell["throughput_kbps"]
-                totals[mode]["delay_sum"] += cell["queue_delay_ms"]
-                totals[mode]["cells"] += 1
+    for key, _ in plan:
+        bandwidth, label, mode = key
+        cell = cell_results[key]
+        result.rows.append(
+            [bandwidth, label, mode]
+            + [cell[column] for column in result.headers[3:]]
+        )
+        totals[mode]["resent"] += cell["resent_segments"]
+        totals[mode]["timeouts"] += cell["timeouts"]
+        totals[mode]["throughput"] += cell["throughput_kbps"]
+        totals[mode]["delay_sum"] += cell["queue_delay_ms"]
+        totals[mode]["cells"] += 1
     for mode in MODES:
         key = mode.replace("+", "_")
         t = totals[mode]

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional
 
+from ..telemetry import active as active_session, merge_registries
 from .plan import ShardPlan, make_plan
 from .scenarios import Scenario, get_scenario
 from .shard import ShardRunner
@@ -144,9 +145,14 @@ def run_scenario(
     telemetry = None
     live = [r for r in registries if r is not None]
     if live:
-        from ..telemetry.merge import merge_registries
-
-        telemetry = merge_registries(live).snapshot()
+        shard_metrics = merge_registries(live)
+        telemetry = shard_metrics.snapshot()
+        session = active_session()
+        if session is not None:
+            # The shards recorded into private registries (possibly in
+            # other processes); fold them into the session being
+            # exported, as if it had watched one serial run.
+            merge_registries([shard_metrics], into=session.registry)
     return PdesResult(
         scenario=scenario.name,
         n_shards=shards,

@@ -31,21 +31,16 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..core import Shaper
-from ..diffserv import DiffServDomain, FlowSpec
+from ..diffserv import DiffServDomain
 from ..diffserv.phb import PriorityQdisc
-from ..gara import (
-    BandwidthBroker,
-    DiffServNetworkManager,
-    Gara,
-    NetworkReservationSpec,
-)
+from ..experiments import fig1_tcp_reservation
+from ..gara import BandwidthBroker, DiffServNetworkManager, Gara
 from ..kernel import Simulator
 from ..net import garnet, mbps
 from ..net.grid import garnet_grid, plan_flows
-from ..net.packet import PROTO_TCP, PROTO_UDP, Packet
+from ..net.packet import PROTO_UDP, Packet
 from ..telemetry import MetricsRegistry
-from ..transport.tcp import TcpConfig, TcpLayer
+from ..transport.tcp import TcpLayer
 from ..transport.udp import UDP_MAX_PAYLOAD, UdpLayer
 
 __all__ = ["Scenario", "SCENARIOS", "get_scenario"]
@@ -81,18 +76,15 @@ def _merge_single_owner(partials: List[dict]) -> dict:
 
 # -- fig1: premium TCP vs its reservation (the paper's Figure 1) --------
 
-_FIG1_PORT = 5501
 _CONTENTION_PORT = 9001
 
 
 class _Fig1Handle:
-    def __init__(self, sim, testbed, duration):
-        self.sim = sim
-        self.network = testbed.network
-        self.testbed = testbed
+    def __init__(self, network, duration, state):
+        self.network = network
         self.duration = duration
-        self.state: dict = {}
-        self.flags: dict = {}
+        #: The connections fig1's owned processes published.
+        self.state = state
         self.contention_udp_dst = None
 
 
@@ -104,76 +96,34 @@ def _fig1_build(
     reserved_rate: float = mbps(40.0),
     contention_rate: float = mbps(30.0),
 ) -> _Fig1Handle:
-    testbed = garnet(
-        sim,
-        backbone_bandwidth=mbps(155.0),
-        access_bandwidth=mbps(100.0),
-        backbone_delay=2e-3,
-    )
-    handle = _Fig1Handle(sim, testbed, duration)
+    testbed = _fig1_topology(sim)
     # Control plane: identical on every shard (no packets involved).
     domain = DiffServDomain(sim, testbed.routers())
     broker = BandwidthBroker(testbed.network, ef_share=0.7)
     gara = Gara(sim)
     gara.register_manager(DiffServNetworkManager(sim, domain, broker))
-    spec = NetworkReservationSpec(
-        testbed.premium_src, testbed.premium_dst, reserved_rate,
-        bucket_divisor=16.0,
+    state = fig1_tcp_reservation.install(
+        sim,
+        gara,
+        testbed,
+        TcpLayer(testbed.premium_src),
+        TcpLayer(testbed.premium_dst),
+        attempted_rate,
+        reserved_rate,
+        duration,
+        owns=owns,
     )
-    reservation = gara.reserve(spec)
-    gara.bind(
-        reservation,
-        FlowSpec(
-            src=testbed.premium_src.addr,
-            dst=testbed.premium_dst.addr,
-            dport=_FIG1_PORT,
-            proto=PROTO_TCP,
-        ),
-    )
-    cfg = TcpConfig(sndbuf=1024 * 1024, rcvbuf=1024 * 1024, recovery="reno")
-    tcp_src = TcpLayer(testbed.premium_src)
-    tcp_dst = TcpLayer(testbed.premium_dst)
-    state = handle.state
-    if owns("premium_dst"):
-        handle.flags["premium_dst"] = True
-        listener = tcp_dst.listen(_FIG1_PORT, config=cfg)
-
-        def server():
-            conn = yield listener.accept()
-            state["server"] = conn
-            while True:
-                n = yield conn.recv(1 << 20)
-                if n == 0:
-                    return
-
-        sim.process(server(), name="pdes-fig1-server")
-    if owns("premium_src"):
-        handle.flags["premium_src"] = True
-
-        def client():
-            conn = tcp_src.connect(
-                testbed.premium_dst.addr, _FIG1_PORT, config=cfg
-            )
-            state["client"] = conn
-            yield conn.established_event
-            shaper = Shaper(sim, rate=attempted_rate, depth_bytes=64 * 1024)
-            chunk = 16 * 1024
-            while sim.now < duration:
-                yield from shaper.acquire(chunk)
-                yield conn.send(chunk)
-
-        sim.process(client(), name="pdes-fig1-client")
+    handle = _Fig1Handle(testbed.network, duration, state)
     # UDP contention between the competitive hosts, split at the
     # ownership boundary: blaster with the source, sink with the
     # destination (UdpTrafficGenerator couples both in one object, so
     # the two halves are installed by hand here).
     udp_src = UdpLayer(testbed.competitive_src)
     udp_dst = UdpLayer(testbed.competitive_dst)
-    handle.contention_udp_dst = udp_dst
     send_socket = udp_src.create_socket()
     sink_socket = udp_dst.create_socket(port=_CONTENTION_PORT)
     if owns("competitive_dst"):
-        handle.flags["competitive_dst"] = True
+        handle.contention_udp_dst = udp_dst
 
         def sink_loop():
             while True:
@@ -195,27 +145,29 @@ def _fig1_build(
 
 
 def _fig1_collect(handle: _Fig1Handle) -> dict:
+    """Each value comes from the one shard that owns its host."""
     out: dict = {
+        "times": None,
         "rates_kbps": None,
         "delivered_bytes": None,
         "retransmissions": None,
         "contention_rx_datagrams": None,
     }
-    state = handle.state
-    if handle.flags.get("premium_dst"):
-        conn = state.get("server")
-        if conn is not None:
-            _times, rates = conn.delivered_counter.rate_series(
-                1.0, t_start=0.0, t_end=handle.duration
-            )
-            out["rates_kbps"] = [float(r) * 8.0 / 1e3 for r in rates]
-            out["delivered_bytes"] = int(conn.delivered_counter.total)
-    if handle.flags.get("premium_src"):
-        conn = state.get("client")
-        if conn is not None:
-            out["retransmissions"] = int(conn.retransmissions)
-    if handle.flags.get("competitive_dst"):
-        out["contention_rx_datagrams"] = int(handle.contention_udp_dst.rx_datagrams)
+    server = handle.state.get("server")
+    if server is not None:
+        times, rates = server.delivered_counter.rate_series(
+            1.0, t_start=0.0, t_end=handle.duration
+        )
+        out["times"] = [float(t) for t in times]
+        out["rates_kbps"] = [float(r) * 8.0 / 1e3 for r in rates]
+        out["delivered_bytes"] = int(server.delivered_counter.total)
+    client = handle.state.get("client")
+    if client is not None:
+        out["retransmissions"] = int(client.retransmissions)
+    if handle.contention_udp_dst is not None:
+        out["contention_rx_datagrams"] = int(
+            handle.contention_udp_dst.rx_datagrams
+        )
     return out
 
 

@@ -21,7 +21,7 @@ reductions) and not raw telemetry snapshots.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from .registry import (
     CounterMetric,
@@ -94,14 +94,18 @@ _MERGERS = [
 ]
 
 
-def merge_registries(registries: Iterable[MetricsRegistry]) -> MetricsRegistry:
+def merge_registries(
+    registries: Iterable[MetricsRegistry],
+    into: Optional[MetricsRegistry] = None,
+) -> MetricsRegistry:
     """Fold per-shard registries into one (see the module docstring).
 
-    The result is for snapshotting and export; its histograms may hold
-    more retained samples than their nominal caps, so keep recording
-    into the per-shard originals, not the merge.
+    The destination is ``into`` (a telemetry session's registry, say)
+    or a fresh registry. It is for snapshotting and export; its
+    histograms may hold more retained samples than their nominal caps,
+    so keep recording into the per-shard originals, not the merge.
     """
-    merged = MetricsRegistry()
+    merged = MetricsRegistry() if into is None else into
     for registry in registries:
         for name, metric in registry.items():
             for klass, fold in _MERGERS:

@@ -148,8 +148,8 @@ class TestKernelOrdering:
 
 
 class TestPartitionedMerge:
-    def test_fig6_point_results_match_serial(self):
-        """run(point_results=...) with serially measured values must
+    def test_fig6_cell_results_match_serial(self):
+        """run(cell_results=...) with serially measured values must
         reproduce run() exactly — this is the contract the parallel
         runner's merge depends on."""
         grid = dict(
@@ -161,7 +161,7 @@ class TestPartitionedMerge:
             key: fig6_visualization.measure_point(seed=0, **kwargs)
             for key, kwargs in fig6_visualization.plan_points(**grid)
         }
-        merged = fig6_visualization.run(seed=0, point_results=points, **grid)
+        merged = fig6_visualization.run(seed=0, cell_results=points, **grid)
         assert merged.rows == serial.rows
         assert merged.series.keys() == serial.series.keys()
         for key in serial.series:

@@ -192,3 +192,78 @@ class TestRunnerCli:
         metrics = json.loads((tmp_path / "fig8.metrics.json").read_text())
         assert metrics["meta"]["experiment"] == "fig8"
         assert metrics["metrics"]
+
+    def test_runner_rejects_undeclared_shards_and_mode(self, capsys):
+        from repro.experiments.runner import main
+
+        for argv in (["fig5", "--quick", "--shards", "2"],
+                     ["fig5", "--mode", "hybrid"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "fig5" in capsys.readouterr().err
+
+
+class _Cell(float):
+    """Stands in for any cell value: a number, or a dict of numbers."""
+
+    def __getitem__(self, field):
+        return float(self)
+
+
+class _RecordingCells(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+
+class TestRegistry:
+    """``runner.EXPERIMENTS`` is the one declaration the executor and
+    the CLI trust, so it must agree with the code it describes."""
+
+    def test_every_module_with_a_run_is_registered(self):
+        import importlib
+        import pkgutil
+
+        import repro.experiments as package
+        from repro.experiments.runner import EXPERIMENTS
+
+        registered = {entry.run for entry in EXPERIMENTS.values()}
+        for info in pkgutil.iter_modules(package.__path__):
+            module = importlib.import_module(f"{package.__name__}.{info.name}")
+            run = vars(module).get("run")
+            if run is not None and run.__module__ == module.__name__:
+                assert run in registered, info.name
+
+    def test_declared_capabilities_match_run_signatures(self):
+        import inspect
+
+        from repro.experiments.runner import EXPERIMENTS
+
+        for name, entry in EXPERIMENTS.items():
+            params = inspect.signature(entry.run).parameters
+            assert entry.shardable == ("shards" in params), name
+            assert (entry.modes != ("packet",)) == ("mode" in params), name
+            assert (entry.cells is not None) == ("cell_results" in params), name
+            assert "packet" in entry.modes and entry.weight > 0, name
+
+    def test_cell_plans_are_unique_and_exactly_consumed(self):
+        from repro.experiments.runner import EXPERIMENTS
+
+        with_cells = {
+            name: entry for name, entry in EXPERIMENTS.items() if entry.cells
+        }
+        assert len(with_cells) == 5
+        for name, entry in with_cells.items():
+            keys = [key for key, _ in entry.cells.plan(quick=True)]
+            assert len(set(keys)) == len(keys) > 0, name
+            assert all(entry.cells.weight(key) > 0 for key in keys), name
+            cells = _RecordingCells(
+                {key: _Cell(i + 1) for i, key in enumerate(keys)}
+            )
+            entry.run(quick=True, cell_results=cells)
+            assert cells.read == keys, name

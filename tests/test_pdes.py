@@ -321,6 +321,23 @@ def test_fig1_short_run_is_shard_count_invariant():
     assert r1.merged["contention_rx_datagrams"] > 0
 
 
+def test_fig1_experiment_is_shard_count_invariant():
+    """The experiment itself, not only the scenario behind it: the
+    sharded ``run`` assembles the result a serial run does."""
+    from repro.experiments import fig1_tcp_reservation
+
+    serial = fig1_tcp_reservation.run(quick=True, duration=2.5)
+    assert len(serial.rows) == 3 and serial.extra["retransmissions"] > 0
+    for shards in (1, 2):
+        sharded = fig1_tcp_reservation.run(
+            quick=True, duration=2.5, shards=shards
+        )
+        assert sharded.rows == serial.rows
+        assert sharded.extra == serial.extra
+    with pytest.raises(ValueError, match="sharded fig1"):
+        fig1_tcp_reservation.run(quick=True, shards=2, mode="hybrid")
+
+
 def test_fork_backend_matches_inline():
     import multiprocessing as mp
 
@@ -342,6 +359,29 @@ def test_telemetry_merges_across_shards():
             assert r2.telemetry[name]["value"] == snap["value"], name
         elif snap["type"] == "histogram":
             assert r2.telemetry[name]["count"] == snap["count"], name
+
+
+def test_active_session_receives_the_merged_shard_metrics():
+    """Regression: ``runner garnet_xl --shards 2 --out DIR`` exported
+    ``"metrics": {}`` because nothing carried the shards' registries
+    into the session being exported."""
+    from repro import telemetry
+
+    snapshots = []
+    for shards in (1, 2):
+        session = telemetry.install(telemetry.Telemetry())
+        try:
+            run_scenario("garnet_small", seed=3, shards=shards)
+        finally:
+            telemetry.uninstall()
+        snapshots.append(session.snapshot()["metrics"])
+    one, two = snapshots
+    assert any(name.startswith("grid.tx.") for name in one)
+    assert any(name.startswith("grid.latency.") for name in one)
+    assert one.keys() == two.keys()
+    for name, snap in one.items():
+        if snap["type"] == "counter":
+            assert two[name]["value"] == snap["value"], name
 
 
 def test_run_scenario_validates_inputs():

@@ -85,14 +85,17 @@ def test_conflicting_metric_types_are_an_error():
         merge_registries([a, b])
 
 
-def test_run_parallel_single_process_fallback_matches_serial():
+def test_run_parallel_single_process_fallback_matches_serial(tmp_path):
     """--parallel 1 runs the job plan in-process, and its experiment
-    output must match a plain serial run exactly."""
-    from repro.experiments.parallel import run_parallel
-    from repro.experiments.runner import EXPERIMENTS
+    output must match a plain serial run exactly; so must a pooled
+    run, including the job kwargs (--mode) the pool forwards."""
+    import json
 
-    serial = EXPERIMENTS["fig8"](quick=True, seed=0)
-    results = run_parallel(["fig8"], quick=True, seed=0, processes=1)
+    from repro.experiments.parallel import run_parallel
+    from repro.experiments.runner import EXPERIMENTS, main
+
+    serial = EXPERIMENTS["fig8"].run(quick=True, seed=0)
+    results = list(run_parallel(["fig8"], quick=True, seed=0, processes=1))
     assert len(results) == 1
     name, result, elapsed, summary = results[0]
     assert name == "fig8"
@@ -100,3 +103,14 @@ def test_run_parallel_single_process_fallback_matches_serial():
     assert elapsed >= 0.0
     assert result.headers == serial.headers
     assert result.rows == serial.rows
+
+    payloads = []
+    for extra in ([], ["--parallel", "2"]):
+        out = tmp_path / f"hybrid{len(extra)}"
+        argv = ["fig1", "--quick", "--mode", "hybrid", "--no-telemetry"]
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        payload = json.loads((out / "fig1.json").read_text())
+        payload.pop("elapsed_seconds")
+        payloads.append(payload)
+    assert payloads[0]["extra"]["mode"] == "hybrid"
+    assert payloads[0] == payloads[1]
