@@ -6,11 +6,6 @@ flavor's SLO-compliance fraction strictly exceeds the static flavor's,
 the control loop actually renegotiated (and rode out the broker
 outage with retries rather than cancel-and-reacquire), and the flap
 count respects the documented ``1 + floor(T/cooldown)`` bound.
-
-Throughput regression gating for this workload lives in
-``perf_smoke.py --workload adaptation`` against
-``BENCH_adaptation.json`` (fails on any event-count drift or a >30%
-events/second drop).
 """
 
 from repro.experiments import fig_adaptation

@@ -95,9 +95,11 @@ def build_deployment(
         if start_contention:
             contention.start()
     deployment = GarnetDeployment(sim, testbed, gq, contention)
-    # If a telemetry session is active (runner --out, benchmarks with
-    # --metrics-out), attach it so the registry scrapes this deployment
-    # at snapshot time. No-op — and zero per-event cost — otherwise.
+    # Hand the simulator and deployment to the active telemetry session
+    # (every executor job has one; benchmarks with --metrics-out). An
+    # instrumenting session scrapes the deployment at snapshot time; a
+    # record-only one just counts the simulator's events, at zero
+    # per-event cost.
     tel = _telemetry.active()
     if tel is not None:
         tel.attach(sim)

@@ -8,8 +8,9 @@ egress, 100k short premium/assured/best-effort flows plus standing
 best-effort background bursts — optionally partitioned over worker
 processes (``--shards N``), and reports the per-class delivery and
 latency table. The merged output is byte-identical for every shard
-count, so the table is the same whether it ran serially or sharded;
-only ``elapsed_seconds`` and the events/sec figures change.
+count, so the result is the same whether it ran serially or sharded;
+how it ran (shards, backend, per-shard events, windows, boundary
+messages, wall time) is in the run record the executor keeps.
 
 ``--quick`` swaps in a 10x10 grid with 5k flows (same class mix and
 merge path) so smoke runs finish in about a second.
@@ -57,29 +58,15 @@ def run(
     grid = "10x10" if quick else "25x40"
     return ExperimentResult(
         experiment="garnet_xl",
-        description=(
-            f"{grid} GARNET grid under 3-class DiffServ load "
-            f"({result.n_shards} shard{'s' if result.n_shards != 1 else ''}, "
-            f"{result.backend} backend)"
-        ),
+        description=f"{grid} GARNET grid under 3-class DiffServ load",
         headers=[
             "dscp", "tx_datagrams", "rx_datagrams",
             "p50_ms", "p99_ms", "max_ms",
         ],
         rows=rows,
         extra={
-            "shards": result.n_shards,
-            "backend": result.backend,
-            "lookahead_s": result.lookahead,
-            "windows": result.windows,
             "total_events": result.total_events,
-            "per_shard_events": list(result.per_shard_events),
-            "boundary_messages": sum(result.boundary_messages),
             "qdisc_drops": merged["qdisc_drops"],
             "route_ttl_drops": merged["route_ttl_drops"],
-            "events_per_second": (
-                result.total_events / result.wall_s if result.wall_s else 0.0
-            ),
-            "wall_seconds": result.wall_s,
         },
     )

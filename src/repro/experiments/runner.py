@@ -11,10 +11,14 @@ uses. :data:`EXPERIMENTS` declares, once, what each experiment is: its
 ``run``, the independent cells it splits into (if any), the ``--mode``
 values it accepts and whether ``--shards`` can partition it. One
 executor (:mod:`repro.experiments.parallel`) runs that declaration
-every way: in this process, or over ``--parallel N`` workers with
-results identical except for ``elapsed_seconds``; ``--shards N``
-partitions a single simulation across N PDES workers (see
-:mod:`repro.pdes`) with merged results byte-identical to one shard.
+every way: in this process, or over ``--parallel N`` workers;
+``--shards N`` partitions a single simulation across N PDES workers
+(see :mod:`repro.pdes`). With ``--out`` each experiment writes
+``<name>.json`` — the result, a pure function of (experiment,
+arguments, seed) and so byte-identical however it ran — and
+``<name>.run.json``, the run record: how it ran (mode, shards,
+parallel, commit, python), how many kernel events it processed and
+credited, the PDES summary of a sharded run, and phase wall times.
 """
 
 from __future__ import annotations
@@ -157,7 +161,7 @@ def make_telemetry() -> "telemetry.Telemetry":
     )
 
 
-def _payload(result, quick: bool, seed: int, elapsed: float) -> dict:
+def _payload(result, quick: bool, seed: int) -> dict:
     return {
         "experiment": result.experiment,
         "description": result.description,
@@ -167,32 +171,44 @@ def _payload(result, quick: bool, seed: int, elapsed: float) -> dict:
             k: [list(map(float, x)), list(map(float, y))]
             for k, (x, y) in result.series.items()
         },
-        "extra": {
-            k: (float(v) if isinstance(v, (int, float)) else v)
-            for k, v in result.extra.items()
-        },
+        "extra": result.extra,
         "quick": quick,
         "seed": seed,
-        "elapsed_seconds": elapsed,
     }
 
 
-def _report(name, result, elapsed, summary, args) -> None:
-    """Print one experiment's result and write its JSON dump."""
+def _report(name, result, record, args) -> None:
+    """Print one experiment's result; with ``--out`` write its JSON
+    dump and, beside it, its run record."""
     print(render_result(result))
-    print(f"[{name} completed in {elapsed:.1f}s]\n")
-    if summary is not None:
-        n_metrics, n_spans = summary
-        print(f"[telemetry: {n_metrics} metrics, {n_spans} span events]\n")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"{name}.json"
-        path.write_text(
-            json.dumps(_payload(result, args.quick, args.seed, elapsed), indent=2)
+    print(f"[{name} completed in {record['phases']['run_s']:.1f}s]\n")
+    collected = record["telemetry"]
+    if collected is not None:
+        print(
+            f"[telemetry: {collected['metrics']} metrics, "
+            f"{collected['span_events']} span events]\n"
         )
+    if args.out is None:
+        return
+    args.out.mkdir(parents=True, exist_ok=True)
+    for suffix, payload in (
+        ("json", _payload(result, args.quick, args.seed)),
+        ("run.json", record),
+    ):
+        path = args.out / f"{name}.{suffix}"
+        path.write_text(json.dumps(payload, indent=2))
         print(f"[wrote {path}]\n")
-        if summary is not None:
-            print(f"[wrote {args.out / name}.metrics.json and .csv]\n")
+    if collected is None:
+        return
+    if any(collected.values()):
+        print(f"[wrote {args.out / name}.metrics.json and .csv]\n")
+    else:
+        # E.g. fig1 --shards N: the PDES scenario keeps no registry and
+        # its simulators live in the shard workers.
+        print(
+            "[no metrics files: the session saw no instrumented "
+            "simulator, so it has nothing to export]\n"
+        )
 
 
 def main(argv=None) -> int:
@@ -281,7 +297,7 @@ def main(argv=None) -> int:
 
     from .parallel import run_parallel
 
-    for name, result, elapsed, summary in run_parallel(
+    for name, result, record in run_parallel(
         selected,
         quick=args.quick,
         seed=args.seed,
@@ -291,7 +307,7 @@ def main(argv=None) -> int:
         mode=args.mode,
         shards=args.shards,
     ):
-        _report(name, result, elapsed, summary, args)
+        _report(name, result, record, args)
     return 0
 
 

@@ -44,7 +44,6 @@ import heapq
 import math
 import zlib
 from itertools import count
-from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 import numpy as np
@@ -126,7 +125,6 @@ class Simulator:
         "events_processed",
         "events_credited",
         "telemetry",
-        "_profiler",
         "__weakref__",
     )
 
@@ -159,9 +157,6 @@ class Simulator:
         #: Instrumented layers throughout the stack read this; the
         #: disabled case is one attribute load and a None check.
         self.telemetry = None
-        #: Event-loop profiler (:class:`repro.telemetry.SimProfiler`),
-        #: installed by ``Telemetry.attach`` when profiling is on.
-        self._profiler = None
 
     # -- clock ----------------------------------------------------------
 
@@ -371,43 +366,21 @@ class Simulator:
         tag = entry[3]
         self._now = entry[0]
         self.events_processed += 1
-        profiler = self._profiler
         if tag == _FAST:
-            fn = entry[4]
-            if profiler is None:
-                fn(entry[5])
-            else:
-                started = perf_counter()
-                fn(entry[5])
-                profiler.record(fn, perf_counter() - started, len(self._queue))
+            entry[4](entry[5])
             return
         if tag >= 0:
             handle = entry[4]
-            if profiler is None:
-                handle.fn(*handle.args)
-            else:
-                started = perf_counter()
-                handle.fn(*handle.args)
-                profiler.record(
-                    handle.fn, perf_counter() - started, len(self._queue)
-                )
+            handle.fn(*handle.args)
             return
-        self._dispatch_event(entry[4], profiler)
+        self._dispatch_event(entry[4])
 
-    def _dispatch_event(self, event: Event, profiler: Any) -> None:
+    def _dispatch_event(self, event: Event) -> None:
         """Run an event's callbacks (:meth:`_dispatch` has already
         advanced the clock and counted the entry)."""
         callbacks, event.callbacks = event.callbacks, None
-        if profiler is None:
-            for callback in callbacks:
-                callback(event)
-        else:
-            for callback in callbacks:
-                started = perf_counter()
-                callback(event)
-                profiler.record(
-                    callback, perf_counter() - started, len(self._queue)
-                )
+        for callback in callbacks:
+            callback(event)
         if not event._ok and not event._defused:
             exc = event._value
             raise SimulationError(
@@ -425,9 +398,7 @@ class Simulator:
         This is the hot loop: each iteration pops the head exactly once
         (no separate peek walk), dispatches on the entry's type tag,
         and skips dead entries without touching the clock or
-        :attr:`events_processed`. The profiler is sampled once on
-        entry, so installing one mid-run takes effect at the next
-        ``run()`` call (``Telemetry.attach`` always precedes the run).
+        :attr:`events_processed`.
         """
         if until is None:
             until = math.inf
@@ -437,8 +408,6 @@ class Simulator:
             )
         queue = self._queue
         pop = heapq.heappop
-        timer = perf_counter
-        profiler = self._profiler
         # Live entries are tallied locally and flushed on exit; nothing
         # reads events_processed mid-run (telemetry collects after).
         processed = 0
@@ -456,13 +425,7 @@ class Simulator:
                 if tag == _FAST:
                     self._now = entry[0]
                     processed += 1
-                    fn = entry[4]
-                    if profiler is None:
-                        fn(entry[5])
-                    else:
-                        started = timer()
-                        fn(entry[5])
-                        profiler.record(fn, timer() - started, len(queue))
+                    entry[4](entry[5])
                 elif tag >= 0:
                     handle = entry[4]
                     if handle.cancelled or handle._gen != tag:
@@ -471,14 +434,7 @@ class Simulator:
                         continue
                     self._now = entry[0]
                     processed += 1
-                    if profiler is None:
-                        handle.fn(*handle.args)
-                    else:
-                        started = timer()
-                        handle.fn(*handle.args)
-                        profiler.record(
-                            handle.fn, timer() - started, len(queue)
-                        )
+                    handle.fn(*handle.args)
                 else:
                     # Inlined _dispatch_event (see that method for
                     # the commentary); counts via the local tally.
@@ -486,16 +442,8 @@ class Simulator:
                     processed += 1
                     event = entry[4]
                     callbacks, event.callbacks = event.callbacks, None
-                    if profiler is None:
-                        for callback in callbacks:
-                            callback(event)
-                    else:
-                        for callback in callbacks:
-                            started = timer()
-                            callback(event)
-                            profiler.record(
-                                callback, timer() - started, len(queue)
-                            )
+                    for callback in callbacks:
+                        callback(event)
                     if not event._ok and not event._defused:
                         exc = event._value
                         raise SimulationError(

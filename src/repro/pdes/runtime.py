@@ -143,17 +143,17 @@ def run_scenario(
     partials, events, bout, windows, registries = outcome
     merged = scenario.merge(partials)
     telemetry = None
+    session = active_session()
     live = [r for r in registries if r is not None]
     if live:
         shard_metrics = merge_registries(live)
         telemetry = shard_metrics.snapshot()
-        session = active_session()
         if session is not None:
             # The shards recorded into private registries (possibly in
             # other processes); fold them into the session being
             # exported, as if it had watched one serial run.
             merge_registries([shard_metrics], into=session.registry)
-    return PdesResult(
+    result = PdesResult(
         scenario=scenario.name,
         n_shards=shards,
         backend=chosen,
@@ -167,6 +167,11 @@ def run_scenario(
         wall_s=wall,
         telemetry=telemetry,
     )
+    if session is not None:
+        # The shard simulators (possibly in other processes) were never
+        # attached; the summary is how the session learns what ran.
+        session.pdes_runs.append(result.summary())
+    return result
 
 
 def _window_limits(until: float):

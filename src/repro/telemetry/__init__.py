@@ -1,6 +1,6 @@
-"""Cross-layer telemetry: metrics registry, flow tracing, profiling.
+"""Cross-layer telemetry: metrics registry and flow tracing.
 
-Three complementary views of one simulation:
+Two complementary views of one simulation:
 
 * **metrics** — a registry of counters/gauges/histograms under
   hierarchical names (``tcp.<host>.<flow>.retransmits``,
@@ -10,15 +10,13 @@ Three complementary views of one simulation:
 * **spans** — an event log following MPI messages across layers (MPI
   send → GARA claim → DSCP marking → TCP segments → per-hop egress →
   delivery), emitted by instrumentation sites guarded so a disabled
-  session costs one ``None`` check;
-* **profiles** — simulator event-loop cost: events/sec, heap depth,
-  per-callback-site counts and wall time.
+  session costs one ``None`` check.
 
 Usage::
 
     from repro import telemetry
 
-    tel = telemetry.install(telemetry.Telemetry(trace=True, profile=True))
+    tel = telemetry.install(telemetry.Telemetry(trace=True))
     dep = build_deployment(...)   # auto-attaches to the active session
     ...run...
     telemetry.export_json(tel, "results/run.metrics.json")
@@ -40,7 +38,6 @@ from .collect import (
 from .export import export_csv, export_json, metrics_csv_text, metrics_payload
 from .hub import Telemetry, active, install, uninstall
 from .merge import merge_registries
-from .profiler import CallSite, SimProfiler
 from .registry import (
     CounterMetric,
     GaugeMetric,
@@ -51,13 +48,11 @@ from .spans import FlowTrace, SpanEvent
 from .windowed import WindowedHistogram
 
 __all__ = [
-    "CallSite",
     "CounterMetric",
     "FlowTrace",
     "GaugeMetric",
     "HistogramMetric",
     "MetricsRegistry",
-    "SimProfiler",
     "SpanEvent",
     "Telemetry",
     "WindowedHistogram",

@@ -1,7 +1,7 @@
 """Exporters: JSON (full payload) and CSV (flat metrics table).
 
 The JSON dump is the machine-readable companion to every figure run:
-``{"meta": ..., "metrics": {...}, "spans": [...], "profile": {...}}``.
+``{"meta": ..., "metrics": {...}, "spans": [...]}``.
 The CSV flattens the metrics only (one instrument per row), for quick
 spreadsheet/pandas triage of a batch of runs.
 """

@@ -1,4 +1,4 @@
-"""The telemetry hub: one session's registry, trace, and profilers.
+"""The telemetry hub: one session's registry, trace, and run tally.
 
 Layers reach telemetry through the simulator they already hold
 (``sim.telemetry``), so the disabled case costs one attribute load and
@@ -13,7 +13,7 @@ A process-wide *active* telemetry can be installed so that deployment
 factories (``repro.experiments.common.build_deployment``) pick it up
 without threading a parameter through every experiment::
 
-    tel = Telemetry(trace=True, profile=True)
+    tel = Telemetry(trace=True)
     install(tel)
     try:
         ...build deployments, run simulations...
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from .profiler import SimProfiler
 from .registry import (
     CounterMetric,
     GaugeMetric,
@@ -46,12 +45,14 @@ class Telemetry:
     trace:
         ``True`` for an unrestricted :class:`FlowTrace`, a ready-made
         ``FlowTrace`` instance, or ``False``/``None`` for no tracing.
-    profile:
-        When True, every attached simulator gets a
-        :class:`SimProfiler` hooked into its event loop.
+    instrument:
+        When False the session only *records* what ran — the simulators
+        handed to :meth:`attach`, the sharded runs in
+        :attr:`pdes_runs` — and never sets ``sim.telemetry``, so the
+        datapath keeps its disabled (guard-only) cost.
     """
 
-    def __init__(self, trace: Any = False, profile: bool = False) -> None:
+    def __init__(self, trace: Any = False, instrument: bool = True) -> None:
         self.registry = MetricsRegistry()
         if trace is True:
             trace = FlowTrace()
@@ -60,23 +61,24 @@ class Telemetry:
         self.trace: Optional[FlowTrace] = (
             trace if isinstance(trace, FlowTrace) else None
         )
-        self.profile = profile
+        self.instrument = instrument
         self._sims: List[Any] = []
-        self._profilers: List[SimProfiler] = []
         self._observed: List[Tuple[str, Any]] = []
+        #: ``PdesResult.summary()`` of every sharded run made under
+        #: this session (appended by ``repro.pdes.run_scenario``, whose
+        #: shard simulators live in workers and are never attached).
+        self.pdes_runs: List[dict] = []
 
     # -- simulator wiring ------------------------------------------------
 
     def attach(self, sim) -> None:
-        """Make ``sim``'s instrumented layers report here."""
+        """Count ``sim`` into this session and, when instrumenting,
+        make its instrumented layers report here."""
         if sim in self._sims:
             return
-        sim.telemetry = self
         self._sims.append(sim)
-        if self.profile:
-            profiler = SimProfiler()
-            sim._profiler = profiler
-            self._profilers.append(profiler)
+        if self.instrument:
+            sim.telemetry = self
 
     def detach(self, sim) -> None:
         if sim not in self._sims:
@@ -84,14 +86,22 @@ class Telemetry:
         self._sims.remove(sim)
         if sim.telemetry is self:
             sim.telemetry = None
-        profiler = getattr(sim, "_profiler", None)
-        if profiler is not None and profiler in self._profilers:
-            profiler.stop()
-            sim._profiler = None
 
     def detach_all(self) -> None:
         for sim in list(self._sims):
             self.detach(sim)
+
+    def event_counts(self) -> Tuple[int, int]:
+        """``(processed, credited)`` kernel events over every attached
+        simulator and every sharded run reported so far. Detaching
+        (``uninstall()`` detaches everything) forgets a simulator, so
+        read this while the session is still installed."""
+        processed = sum(run["total_events"] for run in self.pdes_runs)
+        credited = 0
+        for sim in self._sims:
+            processed += sim.events_processed
+            credited += sim.events_credited
+        return processed, credited
 
     # -- instrument shortcuts --------------------------------------------
 
@@ -127,16 +137,13 @@ class Telemetry:
 
     def snapshot(self) -> dict:
         """Scrape observed objects, then return the full JSON-ready
-        payload: metrics, span events (if tracing), and profiles."""
+        payload: metrics and, if tracing, span events."""
         self.collect()
         payload: dict = {"metrics": self.registry.snapshot()}
         if self.trace is not None:
             payload["spans"] = self.trace.to_records()
             payload["span_count"] = len(self.trace)
             payload["spans_dropped"] = self.trace.dropped
-        if self._profilers:
-            profiles = [p.snapshot() for p in self._profilers]
-            payload["profile"] = profiles[0] if len(profiles) == 1 else profiles
         return payload
 
 

@@ -258,6 +258,14 @@ class TestPartitionedMerge:
         merged = table1_l4s.run(seed=0, cell_results=cells, **grid)
         assert merged.rows == serial.rows
         assert merged.extra == serial.extra
+        # Liveness of the pinned reference cells (benchmarks/pins.json):
+        # a config drift that stopped the marking or the sojourn
+        # accounting would leave their event counts pinning a plain
+        # priority queue.
+        assert cells[1600.0, "normal_1fps", "wred+ecn"]["ecn_marks"] > 0
+        codel = cells[1600.0, "normal_1fps", "codel"]
+        assert codel["ecn_marks"] > 0
+        assert codel["queue_delay_ms"] > 0
 
     def test_table1_l4s_plan_covers_quick_grid(self):
         keys = [k for k, _ in table1_l4s.plan_cells(quick=True)]

@@ -143,18 +143,59 @@ class TestRunnerCli:
         rc = main(["fig8", "--quick", "--out", str(tmp_path)])
         assert rc == 0
         metrics = json.loads((tmp_path / "fig8.metrics.json").read_text())
-        assert metrics["meta"]["experiment"] == "fig8"
         assert metrics["metrics"]  # registry scraped something
         assert (tmp_path / "fig8.metrics.csv").read_text().startswith("name,")
+        # The metrics dump says what produced it: its meta is the run
+        # record written beside the result.
+        record = json.loads((tmp_path / "fig8.run.json").read_text())
+        assert metrics["meta"] == record
+        assert record["experiment"] == "fig8"
+        assert record["kwargs"] == {"quick": True}
+        assert record["seed"] == 0 and record["python"]
+        assert record["events_processed"] > 0
+        assert record["phases"]["run_s"] > 0
+        assert record["telemetry"]["metrics"] == len(metrics["metrics"])
 
     def test_runner_no_telemetry_skips_metrics(self, tmp_path):
+        """... but still writes the run record, with the same counts."""
+        import json
+
         from repro.experiments.runner import main
 
-        rc = main(["fig8", "--quick", "--no-telemetry",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "fig8.json").exists()
-        assert not (tmp_path / "fig8.metrics.json").exists()
+        events = []
+        for flag in ("--no-telemetry", "--telemetry"):
+            out = tmp_path / flag
+            assert main(["fig8", "--quick", flag, "--out", str(out)]) == 0
+            assert (out / "fig8.json").exists()
+            record = json.loads((out / "fig8.run.json").read_text())
+            events.append(record["events_processed"])
+        assert not (tmp_path / "--no-telemetry" / "fig8.metrics.json").exists()
+        assert record["telemetry"] is not None
+        assert events[0] == events[1] > 0
+
+    def test_sharded_run_writes_a_record_and_no_empty_metrics(
+        self, tmp_path, capsys
+    ):
+        """Regression: ``fig1 --quick --shards 2 --out D`` wrote a
+        ``fig1.metrics.json`` holding 0 metrics (the PDES fig1 scenario
+        keeps no registry) and nothing said it had been a 2-shard run."""
+        import json
+
+        from repro.experiments.runner import main
+
+        assert main(["fig1", "--quick", "--shards", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "fig1.json", "fig1.run.json",
+        ]
+        assert "no metrics files" in capsys.readouterr().out
+        record = json.loads((tmp_path / "fig1.run.json").read_text())
+        assert record["shards"] == 2
+        (pdes,) = record["pdes"]
+        assert pdes["n_shards"] == 2 and pdes["windows"] > 1
+        assert min(pdes["per_shard_events"]) > 0
+        assert sum(pdes["per_shard_events"]) == record["events_processed"]
+        assert sum(pdes["boundary_messages"]) > 0
 
     def test_runner_rejects_bad_parallel(self):
         from repro.experiments.runner import main
@@ -163,10 +204,8 @@ class TestRunnerCli:
             main(["fig8", "--quick", "--parallel", "0"])
 
     def test_runner_parallel_output_matches_serial(self, tmp_path):
-        """--parallel 2 writes the same JSON a serial run does
-        (elapsed_seconds aside)."""
-        import json
-
+        """--parallel 2 writes the same JSON a serial run does, byte
+        for byte: how a run went is in its record, not its result."""
         from repro.experiments.runner import main
 
         rc = main(["fig8", "--quick", "--no-telemetry",
@@ -175,10 +214,8 @@ class TestRunnerCli:
         rc = main(["fig8", "--quick", "--no-telemetry", "--parallel", "2",
                    "--out", str(tmp_path / "par")])
         assert rc == 0
-        serial = json.loads((tmp_path / "serial" / "fig8.json").read_text())
-        par = json.loads((tmp_path / "par" / "fig8.json").read_text())
-        serial.pop("elapsed_seconds"), par.pop("elapsed_seconds")
-        assert serial == par
+        serial = (tmp_path / "serial" / "fig8.json").read_bytes()
+        assert serial == (tmp_path / "par" / "fig8.json").read_bytes()
 
     def test_runner_parallel_writes_metrics(self, tmp_path):
         """Whole-experiment parallel jobs export per-worker telemetry."""

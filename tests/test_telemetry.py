@@ -13,7 +13,6 @@ from repro.net import garnet, kbps, mbps
 from repro.telemetry import (
     FlowTrace,
     MetricsRegistry,
-    SimProfiler,
     Telemetry,
 )
 
@@ -137,6 +136,21 @@ class TestDisabledMode:
         snap = tel.snapshot()
         assert snap["metrics"] == {}
         assert snap["span_count"] == 0
+
+    def test_record_only_session_counts_events_without_instrumenting(self):
+        """The executor's telemetry-off session: build_deployment hands
+        it the simulator, the datapath stays on its guard-only path."""
+        from repro.experiments.common import build_deployment
+
+        tel = telemetry.install(Telemetry(instrument=False))
+        try:
+            dep = build_deployment(seed=1, contention_rate=mbps(1.0))
+            assert dep.sim.telemetry is None
+            dep.sim.run(until=0.1)
+            assert dep.sim.events_processed > 0
+            assert tel.event_counts() == (dep.sim.events_processed, 0)
+        finally:
+            telemetry.uninstall()
 
     def test_no_active_session_by_default(self):
         assert telemetry.active() is None
@@ -301,25 +315,13 @@ class TestCollectAndSnapshot:
 
         asyncio.run(go())
 
-    def test_profiler_attaches_to_event_loop(self):
-        sim = Simulator(seed=1)
-        tel = Telemetry(profile=True)
-        tel.attach(sim)
-        fired = []
-        sim.call_at(1.0, lambda: fired.append(1))
-        sim.call_at(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1, 2]
-        assert isinstance(sim._profiler, SimProfiler)
-        snap = tel.snapshot()
-        assert snap["profile"]["events"] >= 2
-        assert snap["profile"]["call_sites"]
-        assert snap["profile"]["heap_depth_max"] >= 1
-
     def test_detach_restores_plain_simulator(self):
         sim = Simulator(seed=1)
-        tel = Telemetry(trace=True, profile=True)
+        tel = Telemetry(trace=True)
         tel.attach(sim)
+        assert sim.telemetry is tel
         tel.detach(sim)
         assert sim.telemetry is None
-        assert sim._profiler is None
+        assert not hasattr(sim, "_profiler")
+        tel.attach(sim)  # round-trips: a detached simulator re-attaches
+        assert sim.telemetry is tel

@@ -97,10 +97,10 @@ def test_run_parallel_single_process_fallback_matches_serial(tmp_path):
     serial = EXPERIMENTS["fig8"].run(quick=True, seed=0)
     results = list(run_parallel(["fig8"], quick=True, seed=0, processes=1))
     assert len(results) == 1
-    name, result, elapsed, summary = results[0]
+    name, result, record = results[0]
     assert name == "fig8"
-    assert summary is None
-    assert elapsed >= 0.0
+    assert record["telemetry"] is None
+    assert record["phases"]["run_s"] >= 0.0
     assert result.headers == serial.headers
     assert result.rows == serial.rows
 
@@ -109,8 +109,6 @@ def test_run_parallel_single_process_fallback_matches_serial(tmp_path):
         out = tmp_path / f"hybrid{len(extra)}"
         argv = ["fig1", "--quick", "--mode", "hybrid", "--no-telemetry"]
         assert main(argv + extra + ["--out", str(out)]) == 0
-        payload = json.loads((out / "fig1.json").read_text())
-        payload.pop("elapsed_seconds")
-        payloads.append(payload)
+        payloads.append(json.loads((out / "fig1.json").read_text()))
     assert payloads[0]["extra"]["mode"] == "hybrid"
     assert payloads[0] == payloads[1]
