@@ -1,37 +1,15 @@
-"""Closed-loop SLO adaptation: static vs adaptive under surge + faults.
+"""Closed-loop SLO adaptation under broker chaos.
 
-Runs the fig_adaptation experiment (quick variant) once and asserts
-the shape properties the adaptation story promises: the adaptive
-flavor's SLO-compliance fraction strictly exceeds the static flavor's,
-the control loop actually renegotiated (and rode out the broker
-outage with retries rather than cancel-and-reacquire), and the flap
-count respects the documented ``1 + floor(T/cooldown)`` bound.
+Soaks the adaptation controller over several seeds with broker
+crashes and restarts, and asserts the ladder really cycles on each
+one. The single-run shape properties (adaptive compliance above
+static, renegotiation through the outage, the flap bound, same-seed
+equality) are covered by ``tests/test_fig_adaptation.py``.
 """
 
-from repro.experiments import fig_adaptation
 from repro.slo.chaos import run_soak
 
 SOAK_SEEDS = (0, 1, 2)
-
-
-def test_adaptive_beats_static_compliance(once):
-    result = once(fig_adaptation.run, quick=True, seed=0)
-    static = result.extra["static_compliance"]
-    adaptive = result.extra["adaptive_compliance"]
-    # The whole point of closing the loop: strictly higher compliance
-    # on the identical surge + broker-fault timeline.
-    assert adaptive > static
-    assert result.extra["adaptive_within_flap_bound"]
-    rows = {row[0]: row for row in result.rows}
-    cols = {name: i for i, name in enumerate(result.headers)}
-    adaptive_row = rows["adaptive"]
-    # The loop must have renegotiated through the outage, not around it.
-    assert adaptive_row[cols["renegotiations"]] >= 1
-    assert adaptive_row[cols["broker_retries"]] >= 1
-    # Static never touches the control plane after setup.
-    static_row = rows["static"]
-    assert static_row[cols["renegotiations"]] == 0
-    assert static_row[cols["flaps"]] == 0
 
 
 def _soak_one(seed: int):
@@ -55,14 +33,3 @@ def test_adaptation_chaos_soak(once, fanout):
         assert stats["restores"] >= 1, f"seed {seed}: never climbed back"
         assert stats["final_rung"] == "premium", f"seed {seed} stuck"
         assert stats["flaps"] <= stats["flap_bound"], f"seed {seed} flapped"
-
-
-def test_same_seed_identical_adaptation(once):
-    def experiment():
-        return (
-            fig_adaptation.measure_cell("adaptive", seed=0, duration=20.0),
-            fig_adaptation.measure_cell("adaptive", seed=0, duration=20.0),
-        )
-
-    first, second = once(experiment)
-    assert first == second

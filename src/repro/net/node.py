@@ -134,7 +134,7 @@ class Interface:
             # (exactly like a cable pull — only timeouts reveal it).
             self.link_down_drops += 1
             return False
-        if not self.qdisc.enqueue(packet):
+        if not self._qdisc.enqueue(packet):
             tel = self.sim.telemetry
             if tel is not None and tel.trace is not None:
                 tel.trace.emit(

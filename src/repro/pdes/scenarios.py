@@ -26,6 +26,7 @@ ownership-gated.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -35,7 +36,7 @@ from ..diffserv import DiffServDomain
 from ..diffserv.phb import PriorityQdisc
 from ..experiments import fig1_tcp_reservation
 from ..gara import BandwidthBroker, DiffServNetworkManager, Gara
-from ..kernel import Simulator
+from ..kernel import NORMAL, Simulator
 from ..net import garnet, mbps
 from ..net.grid import garnet_grid, plan_flows
 from ..net.packet import PROTO_UDP, Packet
@@ -194,6 +195,10 @@ class _GridHandle:
         self.registry = registry
         self.sink = None
         self.owned_nodes: list = []
+        #: Owned flows not yet fired, latest start first.
+        self.flows: list = []
+        #: ``{dscp: {"bytes": b, "datagrams": n}}`` the owned flows sent.
+        self.tx: Dict[int, Dict[str, int]] = {}
 
 
 class _ClassSink:
@@ -201,31 +206,33 @@ class _ClassSink:
 
     One instance serves every owned host on a shard: counts and
     latencies are per-class aggregates, which merge exactly across any
-    shard layout.
+    shard layout. ``latency[dscp]`` holds one delay per delivered
+    datagram, in arrival order.
     """
 
-    def __init__(self, sim: Simulator, registry: MetricsRegistry) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.registry = registry
-        self.latency: Dict[int, List[float]] = {}
+        self.latency: Dict[int, List[float]] = defaultdict(list)
+        self.rx_bytes: Dict[int, int] = defaultdict(int)
 
     def receive(self, packet: Packet) -> None:
-        dscp = packet.dscp
-        reg = self.registry
-        reg.counter(f"grid.rx.{dscp}.datagrams").inc()
-        reg.counter(f"grid.rx.{dscp}.bytes").inc(packet.size)
-        delay = self.sim._now - packet.created_at
-        self.latency.setdefault(dscp, []).append(delay)
-        reg.histogram(f"grid.latency.{dscp}").observe(delay)
+        self.latency[packet.dscp].append(self.sim._now - packet.created_at)
+        self.rx_bytes[packet.dscp] += packet.size
 
 
-def _fire_flow(args) -> None:
-    """Send one planned flow's burst (a ``call_fast``-style closure
-    would capture per-flow state anyway; a tuple keeps it compact)."""
-    sim, host, dst_addr, dscp, size, n, registry = args
-    tx_datagrams = registry.counter(f"grid.tx.{dscp}.datagrams")
-    tx_bytes = registry.counter(f"grid.tx.{dscp}.bytes")
-    now = sim._now
+def _fire_flow(handle: _GridHandle) -> None:
+    """Send the earliest pending flow's burst.
+
+    Only one flow start is ever on the heap: the firing flow first
+    schedules its successor at that flow's absolute planned time, so
+    the heap holds live packet work rather than the whole plan.
+    """
+    src, dst, dscp, _, size, n = handle.flows.pop()
+    if handle.flows:
+        handle.sim.inject(handle.flows[-1].start, NORMAL, _fire_flow, handle)
+    hosts = handle.testbed.hosts
+    host, dst_addr = hosts[src], hosts[dst].addr
+    now = handle.sim._now
     for _ in range(n):
         host.send_packet(
             Packet(
@@ -239,8 +246,9 @@ def _fire_flow(args) -> None:
                 created_at=now,
             )
         )
-    tx_datagrams.inc(n)
-    tx_bytes.inc(n * size)
+    tally = handle.tx.setdefault(dscp, {"bytes": 0, "datagrams": 0})
+    tally["bytes"] += n * size
+    tally["datagrams"] += n
 
 
 def _grid_build(
@@ -259,9 +267,8 @@ def _grid_build(
         sim, rows, cols, torus=torus,
         qdisc_factory=lambda: PriorityQdisc(),
     )
-    registry = MetricsRegistry()
-    handle = _GridHandle(sim, testbed, registry)
-    sink = _ClassSink(sim, registry)
+    handle = _GridHandle(sim, testbed, MetricsRegistry())
+    sink = _ClassSink(sim)
     for host in testbed.hosts:
         if owns(host.name):
             host.register_protocol(PROTO_UDP, sink)
@@ -282,17 +289,13 @@ def _grid_build(
             size_range=(1500, 1500),
             count_range=bg_count_range,
         )
+    # A stable sort, reversed for pop(): flows with equal starts fire
+    # in plan order.
     hosts = testbed.hosts
-    for f in flows:
-        src_host = hosts[f.src_cell]
-        if not owns(src_host.name):
-            continue
-        sim.call_at(
-            f.start,
-            _fire_flow,
-            (sim, src_host, hosts[f.dst_cell].addr, f.dscp, f.size,
-             f.count, registry),
-        )
+    owned = [f for f in flows if owns(hosts[f.src_cell].name)]
+    handle.flows = sorted(owned, key=lambda f: f.start)[::-1]
+    if handle.flows:
+        sim.inject(handle.flows[-1].start, NORMAL, _fire_flow, handle)
     # Owned nodes, for exact drop accounting in collect(): every drop
     # happens on exactly one node, and traffic only ever transits nodes
     # on their owning shard, so summing per-owned-node counters merges
@@ -305,14 +308,23 @@ def _grid_build(
 
 def _grid_collect(handle: _GridHandle) -> dict:
     reg = handle.registry
-    tx: Dict[str, dict] = {}
-    rx: Dict[str, dict] = {}
-    for name in reg.names("grid.tx"):
-        _, _, dscp, kind = name.split(".")
-        tx.setdefault(dscp, {})[kind] = int(reg.get(name).value)
-    for name in reg.names("grid.rx"):
-        _, _, dscp, kind = name.split(".")
-        rx.setdefault(dscp, {})[kind] = int(reg.get(name).value)
+    sink = handle.sink
+    tx = {str(dscp): dict(kinds) for dscp, kinds in sorted(handle.tx.items())}
+    rx = {
+        str(dscp): {"bytes": sink.rx_bytes[dscp], "datagrams": len(samples)}
+        for dscp, samples in sorted(sink.latency.items())
+    }
+    # The tallies are written here only, and idempotently: counters get
+    # absolute values, and each histogram observes just the samples it
+    # has not seen, in arrival order.
+    for way, classes in (("tx", tx), ("rx", rx)):
+        for dscp, kinds in classes.items():
+            for kind, value in kinds.items():
+                reg.counter(f"grid.{way}.{dscp}.{kind}").value = float(value)
+    for dscp, samples in sink.latency.items():
+        hist = reg.histogram(f"grid.latency.{dscp}")
+        for delay in samples[hist.count:]:
+            hist.observe(delay)
     drops = 0
     ttl = 0
     for node in handle.owned_nodes:

@@ -371,10 +371,17 @@ def test_active_session_receives_the_merged_shard_metrics():
     for shards in (1, 2):
         session = telemetry.install(telemetry.Telemetry())
         try:
-            run_scenario("garnet_small", seed=3, shards=shards)
+            result = run_scenario("garnet_small", seed=3, shards=shards)
         finally:
             telemetry.uninstall()
-        snapshots.append(session.snapshot()["metrics"])
+        metrics = session.snapshot()["metrics"]
+        snapshots.append(metrics)
+        # Each delivered datagram is recorded exactly once, everywhere.
+        assert result.merged["latency"]
+        for dscp, stats in result.merged["latency"].items():
+            count = metrics[f"grid.latency.{dscp}"]["count"]
+            assert count == metrics[f"grid.rx.{dscp}.datagrams"]["value"]
+            assert count == stats["count"]
     one, two = snapshots
     assert any(name.startswith("grid.tx.") for name in one)
     assert any(name.startswith("grid.latency.") for name in one)
@@ -382,6 +389,38 @@ def test_active_session_receives_the_merged_shard_metrics():
     for name, snap in one.items():
         if snap["type"] == "counter":
             assert two[name]["value"] == snap["value"], name
+
+    # collect() publishes the run's tallies; doing it again adds nothing.
+    scenario = get_scenario("garnet_small")
+    sim = Simulator(seed=3)
+    handle = scenario.build(sim, lambda name: True)
+    sim.run()
+    scenario.collect(handle)
+    first = handle.registry.snapshot()
+    scenario.collect(handle)
+    assert handle.registry.snapshot() == first
+
+
+def test_grid_keeps_one_flow_start_pending():
+    """The planned flows are fed to the kernel from one sorted cursor:
+    after the build the heap holds only the earliest start, and the run
+    still fires every flow exactly once."""
+    scenario = get_scenario("garnet_small")
+    sim = Simulator(seed=3)
+    handle = scenario.build(sim, lambda name: True)
+    assert len(sim._queue) == 1
+    planned = list(handle.flows)
+    defaults = scenario.defaults
+    assert len(planned) == defaults["n_flows"] + defaults["bg_flows"]
+    assert sim._queue[0][0] == min(flow.start for flow in planned)
+    sim.run()
+    scenario.collect(handle)
+    sent = sum(
+        handle.registry.get(name).value
+        for name in handle.registry.names("grid.tx")
+        if name.endswith(".datagrams")
+    )
+    assert sent == sum(flow.count for flow in planned)
 
 
 def test_run_scenario_validates_inputs():
