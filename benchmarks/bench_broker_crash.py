@@ -96,7 +96,6 @@ def crash_run(seed: int = 0, crash: bool = True):
         return float(series[sel].mean())
 
     broker = gq.broker
-    live_paths = len(gq.network_manager._claims)
     return {
         "before": phase_mean(2.0, CRASH_AT),
         "after": phase_mean(RESTART_AT + SETTLE, DURATION),
@@ -105,11 +104,8 @@ def crash_run(seed: int = 0, crash: bool = True):
         "replay_matches": (
             crash and broker.last_replay_snapshot == state["pre_crash"]
         ),
-        "invariant_holds": (
-            broker.admissions
-            - broker.releases
-            - broker.orphan_paths_collected
-            == live_paths
+        "conservation": broker.conservation_errors(
+            gq.network_manager._claims.values()
         ),
         "orphan_paths": broker.orphan_paths_collected,
         "suspicions": gq.detector.suspicions,
@@ -132,7 +128,7 @@ def test_broker_crash_recovers_within_5pct(once):
     steady = baseline["steady"]
     assert abs(crashed["after"] - steady) <= 0.05 * steady
     # Conservation: nothing double-booked, nothing stranded.
-    assert crashed["invariant_holds"]
+    assert crashed["conservation"] == []
     assert crashed["orphan_paths"] == 0
 
 
@@ -150,7 +146,7 @@ def test_broker_crash_soak_5_seeds(once, fanout):
         # Convergence: the lease must be re-admitted and held again.
         assert stats["lease"][0] == "HELD", f"seed {seed} never converged"
         assert stats["replay_matches"], f"seed {seed} replay mismatch"
-        assert stats["invariant_holds"], f"seed {seed} leaked claims"
+        assert stats["conservation"] == [], f"seed {seed} leaked claims"
         # The run's own pre-crash phase is its no-crash steady state.
         assert (
             abs(stats["after"] - stats["before"]) <= 0.05 * stats["before"]

@@ -5,7 +5,8 @@ A leased premium reservation carries a shaped TCP stream over GARNET's
 primary backbone. At FAIL_AT the edge1--core link dies: TCP stalls on
 RTO backoff, routing fails over to the standby core, and the lease
 re-admits its claims on the new path. The bench reports the bandwidth
-in each phase plus the recovery time, and asserts the whole timeline is
+in each phase plus the recovery time, asserts that the slot tables
+book exactly the claims still held, and that the whole timeline is
 deterministic for a fixed seed.
 """
 
@@ -102,6 +103,9 @@ def chaos_run(seed: int = 0):
         "after": after,
         "recovery_time": recovery_time,
         "lease": (lease.state, lease.degradations, lease.readmissions),
+        "conservation": gq.broker.conservation_errors(
+            gq.network_manager._claims.values()
+        ),
         "trace": tuple(np.round(series, 6)),
     }
 
@@ -117,8 +121,10 @@ def test_backbone_flap_recovers(once):
     assert stats["recovery_time"] < 3.0
     # After the primary returns, full service continues.
     assert 35.0 < stats["after"] < 45.0
-    # The lease degraded exactly once and re-admitted on the new path.
+    # The lease degraded exactly once and re-admitted on the new path;
+    # its old-path claims are gone from the slot tables.
     assert stats["lease"] == ("HELD", 1, 1)
+    assert stats["conservation"] == []
 
 
 def test_same_seed_identical_timeline(once):

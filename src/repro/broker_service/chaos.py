@@ -15,8 +15,10 @@ guarantees:
   live on the service and its claim entries sit in the broker's slot
   tables;
 * **no leaked/duplicated reservation** — the service holds nothing a
-  client does not, every slot-table entry belongs to exactly one live
-  reservation, and no slot table exceeds its EF capacity;
+  client does not, and the broker's
+  :meth:`~repro.gara.BandwidthBroker.conservation_errors` finds every
+  slot-table entry held by exactly one live reservation and no slot
+  table over its EF capacity;
 * **replay equivalence** — a fresh broker + fresh service replaying
   the two (possibly compacted) journals reconstructs slot tables and
   reservation maps identical to the survivor's — the journal is the
@@ -275,33 +277,7 @@ async def chaos_soak(
     if leaked:
         violations.append(f"leaked reservations: {sorted(leaked)}")
 
-    # Slot-table conservation: every live claim entry present, every
-    # table entry owned by exactly one live reservation, no table over
-    # its EF capacity.
-    entry_count = 0
-    for rid, claims in service._claims.items():
-        for iface, entry_id, _owner, _bw in claims:
-            entry_count += 1
-            if entry_id not in service.broker.table_for(iface):
-                violations.append(
-                    f"rid {rid} claim entry {entry_id} missing from "
-                    f"{iface.node.name}.{iface.name}"
-                )
-    table_entries = sum(
-        len(table) for table in service.broker._tables.values()
-    )
-    if table_entries != entry_count:
-        violations.append(
-            f"slot tables hold {table_entries} entries but live "
-            f"reservations account for {entry_count}"
-        )
-    for table in service.broker._tables.values():
-        if len(table):
-            peak = table.max_usage(0.0, 1e9)
-            if peak > table.capacity + 1e-6:
-                violations.append(
-                    f"{table.name} over capacity: {peak} > {table.capacity}"
-                )
+    violations += service.broker.conservation_errors(service._claims.values())
 
     # Replay equivalence: journals alone rebuild the survivor's state.
     oracle_snapshot, oracle_claims = _replay_oracle(service, seed)

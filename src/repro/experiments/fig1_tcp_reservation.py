@@ -200,7 +200,4 @@ def run(
         # Only non-default modes annotate the payload: the packet-mode
         # quick JSON is pinned byte-identical across PRs.
         result.extra["mode"] = mode
-        result.extra["events_processed"] = sim.events_processed
-        result.extra["events_credited"] = sim.events_credited
-        result.extra["effective_events"] = sim.effective_events
     return result

@@ -33,6 +33,7 @@ error — the capacity is simply already free.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.node import Interface, Node
@@ -372,6 +373,44 @@ class BandwidthBroker:
         )
         quotas = tuple(sorted(self._quotas.items()))
         return (tables, usage, quotas)
+
+    def conservation_errors(self, holders) -> List[str]:
+        """Reservation conservation: the slot tables against the
+        :meth:`admit_path` claim lists ``holders`` hold. One message,
+        naming table and entry, per held entry not booked, held twice or
+        booked at another bandwidth; per booked entry nobody holds; per
+        table over capacity. No holders: nothing may be booked."""
+        booked = {
+            (iface, e.entry_id): e.amount
+            for iface, table in self._tables.items()
+            for e in table.entries
+        }
+        errors, held = [], set()
+        for claims in holders:
+            for iface, entry_id, _owner, bandwidth in claims:
+                where = f"EF:{iface.node.name}.{iface.name} entry {entry_id}"
+                key = (iface, entry_id)
+                if key in held:
+                    errors.append(f"{where} is held twice")
+                elif key not in booked:
+                    errors.append(f"{where} is held but not booked")
+                elif booked[key] != bandwidth:
+                    errors.append(
+                        f"{where} is booked at {booked[key]} b/s but "
+                        f"held at {bandwidth}"
+                    )
+                held.add(key)
+        for iface, entry_id in booked:
+            if (iface, entry_id) not in held:
+                errors.append(
+                    f"{self._tables[iface].name} entry {entry_id} is "
+                    "booked but held by no one"
+                )
+        for table in self._tables.values():
+            peak = table.max_usage(-math.inf, math.inf) if len(table) else 0
+            if peak > table.capacity + 1e-6:
+                errors.append(f"{table.name} is over capacity: peak {peak}")
+        return errors
 
     def checkpoint(self):
         """Serialize the full committed state for journal compaction.

@@ -5,10 +5,11 @@ deliberately capacity-starved broker, with scheduled broker crash/
 restart cycles timed to land while renegotiations are in flight, and
 asserts the control-plane invariants the loop promises:
 
-* **no double-booked bandwidth** — after every broker restart, each
-  interface's committed slot-table capacity equals exactly the sum of
-  the network manager's live claims on it (journal replay plus claim
-  re-registration and write-behind release flushing must agree);
+* **no double-booked bandwidth** — after every broker restart,
+  :meth:`~repro.gara.BandwidthBroker.conservation_errors` finds the
+  slot tables booking exactly the network manager's live claims (journal
+  replay plus claim re-registration and write-behind release flushing
+  must agree);
 * **no lost or leaked reservation** — at the end, with every session
   closed, all slot tables are empty;
 * **bounded flapping** — rung changes stay within the documented
@@ -16,7 +17,7 @@ asserts the control-plane invariants the loop promises:
 * the ladder is actually exercised: the run must include real
   renegotiations, broker retries, degradations, and restores.
 
-Usage (the ``adaptation-soak`` CI job)::
+Usage (the ``soaks`` CI job)::
 
     python -m repro.slo.chaos --seed 0 --cycles 3
 
@@ -44,29 +45,6 @@ __all__ = ["run_soak", "main"]
 
 class SoakFailure(AssertionError):
     """An adaptation-soak invariant did not hold."""
-
-
-def _conservation_errors(broker, manager) -> List[str]:
-    """Committed capacity vs live claims, per interface."""
-    held = {}
-    for claims in manager._claims.values():
-        for iface, _entry, _owner, bandwidth in claims:
-            held[iface] = held.get(iface, 0.0) + bandwidth
-    errors = []
-    for iface, table in broker._tables.items():
-        committed = sum(entry.amount for entry in table.entries)
-        expected = held.pop(iface, 0.0)
-        if abs(committed - expected) > 1e-6:
-            errors.append(
-                f"{table.name}: broker has {committed / 1e6:.3f} Mb/s "
-                f"committed but claim holders hold {expected / 1e6:.3f}"
-            )
-    for iface, expected in held.items():
-        errors.append(
-            f"{iface.node.name}.{iface.name}: {expected / 1e6:.3f} Mb/s "
-            "claimed with no broker table entry"
-        )
-    return errors
 
 
 def run_soak(
@@ -129,7 +107,9 @@ def run_soak(
     def check_conservation():
         if not broker.alive:
             return
-        conservation_errors.extend(_conservation_errors(broker, manager))
+        conservation_errors.extend(
+            broker.conservation_errors(manager._claims.values())
+        )
 
     for k in range(cycles):
         t0 = k * cycle_seconds
@@ -194,11 +174,7 @@ def run_soak(
     monitor.stop()
     blocker.cancel()
     sim.run(until=horizon + 5.0)
-    leaked = [
-        f"{table.name}: {len(table)} entries"
-        for table in broker._tables.values()
-        if len(table)
-    ]
+    leaked = broker.conservation_errors([])
     if leaked:
         raise SoakFailure(
             "lost reservations: slot tables not empty after close:\n  "

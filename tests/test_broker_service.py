@@ -46,8 +46,10 @@ def build_service(**kwargs):
     return BrokerService(broker, Journal("svc"), **kwargs)
 
 
-def live_entries(service):
-    return sum(len(t) for t in service.broker._tables.values())
+def held_reservations(service):
+    """Live reservations, after checking the slot tables against them."""
+    assert service.broker.conservation_errors(service._claims.values()) == []
+    return len(service._claims)
 
 
 async def raw_conn(service):
@@ -77,9 +79,9 @@ class TestAdmissionRoundtrip:
             assert claim["owner"] == "app"
             assert claim["bandwidth"] == mbps(5)
             assert len(claim["claims"]) >= 1
-            assert live_entries(service) >= 1
+            assert held_reservations(service) == 1
             assert await client.cancel(res) == 1
-            assert live_entries(service) == 0
+            assert service.broker.conservation_errors([]) == []
             await client.close()
             await service.close()
 
@@ -123,7 +125,7 @@ class TestAdmissionRoundtrip:
             await client.modify(res, bandwidth=mbps(4))
             claim = await client.claim(res)
             assert claim["bandwidth"] == mbps(4)
-            assert live_entries(service) == 1  # old entry released
+            assert held_reservations(service) == 1  # old entry released
             # A transition that cannot coexist with the old grant
             # (4 + 5 > 7) fails and leaves the old grant intact.
             with pytest.raises(AdmissionRejected):
@@ -219,7 +221,7 @@ class TestIdempotency:
             assert second[1] == STATUS_OK
             assert second[2] == first[2]  # same rid survived the crash
             assert second[3] == 1         # served from the journaled cache
-            assert live_entries(service) == 1  # never double-booked
+            assert held_reservations(service) == 1  # never double-booked
             writer.close()
             await service.close()
 
@@ -251,7 +253,7 @@ class TestIdempotency:
                 ["rsv", 3, "ghost-key", None, "a", "b", mbps(1), 0.0, 5.0],
             )
             assert later[1] == STATUS_REJECTED
-            assert live_entries(service) == 0
+            assert service.broker.conservation_errors([]) == []
             writer.close()
             await service.close()
 
@@ -334,11 +336,11 @@ class TestRecoveryAndRetry:
             await client.cancel(held.pop(0))
             await client.cancel(held.pop(0))
             expected = service.broker.snapshot()
-            expected_live = live_entries(service)
+            expected_live = held_reservations(service)
             await service.crash()
             await service.restart()
             assert service.broker.snapshot() == expected
-            assert live_entries(service) == expected_live
+            assert held_reservations(service) == expected_live
             assert service.journal.snapshots_total >= 1  # compaction ran
             for res in held:
                 assert (await client.claim(res))["rid"] == res.rid
@@ -482,7 +484,7 @@ class TestDegradation:
             await asyncio.wait_for(upgraded.wait(), timeout=5.0)
             assert res.held and res.rid is not None
             assert client.upgrades == 1
-            assert live_entries(service) >= 1  # premium capacity booked
+            assert held_reservations(service) == 1  # premium capacity booked
             assert await client.cancel(res) == 1
             await client.close()
             await service.close()
@@ -519,13 +521,13 @@ class TestBrokerClientChannel:
             channel = BrokerClientChannel(client)
             res = await channel.acquire("a", "b", mbps(2), 0.0, 30.0)
             assert res.held and res.rid is not None
-            assert live_entries(service) == 1
+            assert held_reservations(service) == 1
             boosted = await channel.boost(res, mbps(4))
             assert boosted.bandwidth == mbps(4)
             # One booking, modified in place -- never double-booked.
-            assert live_entries(service) == 1
+            assert held_reservations(service) == 1
             assert await channel.release(boosted) == 1
-            assert live_entries(service) == 0
+            assert service.broker.conservation_errors([]) == []
             await client.close()
             await service.close()
 

@@ -57,18 +57,26 @@ class TestFig7:
             assert len(x) == len(y)
             assert np.all(np.diff(y) >= -1e9)  # cumulative, nondecreasing
         smooth, bursty = result.rows
-        assert bursty[2] > smooth[2]
+        # Same volume; the 1 fps program sends it in one much larger burst.
+        assert 0.5 * smooth[1] <= bursty[1] <= 2.0 * smooth[1]
+        assert bursty[2] > 3.0 * smooth[2]
+        assert smooth[2] < 10.0
+
+
+def assert_fig8_shape(result):
+    """Fig 8 (§5.5): steady full rate, a significant drop once the CPU
+    hog starts, full rate again once the 90% DSRT reservation activates."""
+    extra = result.extra
+    target, before = extra["target_kbps"], extra["before_contention_kbps"]
+    assert before > 0.95 * target
+    assert extra["during_contention_kbps"] < 0.75 * before
+    assert extra["after_reservation_kbps"] > 0.9 * target
 
 
 class TestFig8:
     def test_three_phases(self):
         result = fig8_run(quick=True)
-        assert result.extra["during_contention_kbps"] < (
-            0.8 * result.extra["before_contention_kbps"]
-        )
-        assert result.extra["after_reservation_kbps"] > (
-            0.9 * result.extra["target_kbps"]
-        )
+        assert_fig8_shape(result)
         # Trace rows well-formed.
         assert result.headers == ["time_s", "bandwidth_kbps"]
         assert all(len(row) == 2 for row in result.rows)

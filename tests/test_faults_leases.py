@@ -34,17 +34,6 @@ def spec_for(tb, bandwidth=1_000_000.0):
     )
 
 
-def occupancy(gq, tb):
-    """(entry count, committed bandwidth now) across every slot table."""
-    broker = gq.broker
-    total_entries = 0
-    total_bw = 0.0
-    for table in broker._tables.values():
-        total_entries += len(table)
-        total_bw += table.usage_at(gq.sim.now)
-    return total_entries, total_bw
-
-
 # ---------------------------------------------------------------------------
 # Reservation.cancel idempotency (regression: double-cancel)
 # ---------------------------------------------------------------------------
@@ -57,10 +46,9 @@ class TestIdempotentCancel:
         assert reservation.state == ACTIVE
         reservation.cancel()
         assert reservation.state == CANCELLED
-        before = occupancy(gq, tb)
         reservation.cancel()  # second cancel must not raise or double-free
         assert reservation.state == CANCELLED
-        assert occupancy(gq, tb) == before
+        assert gq.broker.conservation_errors([]) == []
 
     def test_cancel_after_expiry_is_noop(self, deployment):
         sim, tb, gq = deployment
@@ -121,7 +109,6 @@ class TestLeaseLifecycle:
 
     def test_path_failure_releases_claims_and_readmits(self, deployment):
         sim, tb, gq = deployment
-        baseline = occupancy(gq, tb)
         lease = gq.lease_manager.lease(spec_for(tb))
         claimed_ifaces = [
             iface
@@ -145,7 +132,7 @@ class TestLeaseLifecycle:
         assert all(iface.up for iface in new_ifaces)
         assert new_ifaces != claimed_ifaces
         lease.close()
-        assert occupancy(gq, tb) == baseline
+        assert gq.broker.conservation_errors([]) == []
 
     def test_retries_exhausted_is_terminal(self):
         sim = Simulator(seed=17)
@@ -212,7 +199,6 @@ class TestLeaseLifecycle:
 class TestBrokerAccounting:
     def test_exact_occupancy_after_flap_cycles(self, deployment):
         sim, tb, gq = deployment
-        baseline = occupancy(gq, tb)
         lease = gq.lease_manager.lease(spec_for(tb))
         # Three full revoke/re-admit cycles: each flap kills whichever
         # backbone the lease last landed on, bouncing it back and forth
@@ -224,26 +210,29 @@ class TestBrokerAccounting:
         sim.run(until=16.0)
         assert lease.state == LEASE_HELD
         assert lease.degradations >= 3
-        # Exactly one set of path claims is live mid-run...
-        entries, committed = occupancy(gq, tb)
-        path_len = len(
+        # Exactly one set of path claims is live mid-run: one 1 Mb/s
+        # entry per hop, active now...
+        held = list(gq.network_manager._claims.values())
+        assert len(held) == 1
+        assert gq.broker.conservation_errors(held) == []
+        spec = [1_000_000.0] * len(
             tb.network.path_interfaces(tb.premium_src, tb.premium_dst)
         )
-        assert entries == path_len
-        assert committed == pytest.approx(1_000_000.0 * path_len)
-        # ...and release returns the tables to the exact pre-reservation
-        # occupancy: no leaked and no double-freed slot entries.
+        assert [c[3] for c in held[0]] == spec
+        now = [gq.broker.table_for(c[0]).usage_at(sim.now) for c in held[0]]
+        assert now == pytest.approx(spec)
+        # ...and release empties the tables: no leaked and no
+        # double-freed slot entries.
         lease.close()
-        assert occupancy(gq, tb) == baseline
+        assert gq.broker.conservation_errors([]) == []
 
     def test_plain_reservation_cycle_is_exact(self, deployment):
         sim, tb, gq = deployment
-        baseline = occupancy(gq, tb)
         for _ in range(4):
             reservation = gq.gara.reserve(spec_for(tb))
             reservation.cancel()
             reservation.cancel()  # double-cancel must not double-free
-        assert occupancy(gq, tb) == baseline
+        assert gq.broker.conservation_errors([]) == []
 
     def test_owner_usage_restored(self, deployment):
         sim, tb, gq = deployment

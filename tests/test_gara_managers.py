@@ -16,6 +16,7 @@ from repro.gara import (
     NetworkReservationSpec,
     PENDING,
     ReservationError,
+    SlotEntry,
     StorageReservationSpec,
     StorageServer,
     build_standard_gara,
@@ -78,6 +79,62 @@ class TestBroker:
             )
 
 
+class TestConservationErrors:
+    """One message per violation, naming the table and the entry."""
+
+    @pytest.fixture
+    def hop(self, sim):
+        tb = garnet(sim, backbone_bandwidth=mbps(10))
+        broker = BandwidthBroker(tb.network)
+        # premium_src -> edge1 is one egress, so each claim is one entry.
+        return broker, lambda: broker.admit_path(
+            tb.premium_src, tb.edge1, mbps(1), 0, 10
+        )
+
+    @staticmethod
+    def only_error(broker, holders, claims):
+        (error,) = broker.conservation_errors(holders)
+        iface, entry_id, _owner, _bw = claims[0]
+        assert f"{broker.table_for(iface).name} entry {entry_id} " in error
+        return error
+
+    def test_held_claims_conserve(self, hop):
+        broker, admit = hop
+        assert broker.conservation_errors([]) == []
+        assert broker.conservation_errors([admit(), admit()]) == []
+
+    def test_forgotten_claims_leak(self, hop):
+        broker, admit = hop
+        kept, forgotten = admit(), admit()
+        assert "held by no one" in self.only_error(broker, [kept], forgotten)
+
+    def test_released_claims_are_missing(self, hop):
+        broker, admit = hop
+        kept, gone = admit(), admit()
+        broker.release(gone)
+        assert "not booked" in self.only_error(broker, [kept, gone], gone)
+
+    def test_claims_held_twice(self, hop):
+        broker, admit = hop
+        claims = admit()
+        assert "twice" in self.only_error(broker, [claims, claims], claims)
+
+    def test_held_bandwidth_differs_from_booking(self, hop):
+        broker, admit = hop
+        iface, entry_id, owner, bandwidth = admit()[0]
+        wrong = [(iface, entry_id, owner, bandwidth / 2)]
+        assert "booked at" in self.only_error(broker, [wrong], wrong)
+
+    def test_restored_entry_past_capacity(self, hop):
+        broker, admit = hop
+        claims = admit()
+        table = broker.table_for(claims[0][0])
+        table.restore(SlotEntry(-1, 0, 10, table.capacity))
+        restored = [(claims[0][0], -1, None, table.capacity)]
+        (error,) = broker.conservation_errors([claims, restored])
+        assert error.startswith(f"{table.name} is over capacity")
+
+
 class TestReservationLifecycle:
     def test_immediate_reservation_is_active(self, testbed):
         tb, domain, broker, gara = testbed
@@ -124,12 +181,11 @@ class TestReservationLifecycle:
         res = gara.reserve(spec)
         res.cancel()
         released = broker.releases
-        entries = sum(len(t) for t in broker._tables.values())
         res.cancel()
         res.cancel()
         assert res.state == CANCELLED
         assert broker.releases == released
-        assert sum(len(t) for t in broker._tables.values()) == entries
+        assert broker.conservation_errors([]) == []
         # The freed capacity is admissible exactly once.
         gara.reserve(spec)
         with pytest.raises(ReservationError):

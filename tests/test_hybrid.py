@@ -12,6 +12,7 @@ Two contracts are pinned here:
 
 import pytest
 
+from repro import telemetry
 from repro.diffserv import EF
 from repro.experiments.common import build_deployment
 from repro.kernel import Simulator
@@ -107,9 +108,14 @@ class TestHybridMode:
         trajectories diverge under µs perturbations; the strict 1%
         bound needs the 60 s horizon, which ``benchmarks/pins.py``
         runs)."""
-        hybrid = _fig1("hybrid", 12.0)
+        session = telemetry.install(telemetry.Telemetry(instrument=False))
+        try:
+            hybrid = _fig1("hybrid", 12.0)
+            # Before uninstall(): detaching forgets the simulators.
+            _processed, credited = session.event_counts()
+        finally:
+            telemetry.uninstall()
         assert hybrid.extra["mode"] == "hybrid"
-        assert hybrid.extra["events_credited"] > 0
         packet = _fig1("packet", 12.0)
         err = abs(
             hybrid.extra["mean_kbps"] - packet.extra["mean_kbps"]
@@ -118,4 +124,4 @@ class TestHybridMode:
         # The elided contention stream is substantial: ~2.5k
         # datagrams/s at 30 Mb/s, each worth 2*hops+2 events, so the
         # credit over 12 s is six figures.
-        assert hybrid.extra["events_credited"] > 100_000
+        assert credited > 100_000

@@ -70,10 +70,6 @@ class TestJournalPrimitives:
 # ---------------------------------------------------------------------------
 
 
-def total_entries(broker):
-    return sum(len(t) for t in broker._tables.values())
-
-
 class TestBrokerCompaction:
     def test_checkpoint_plus_suffix_replay_is_identical(self):
         sim, tb, broker, journal = build()
@@ -109,13 +105,13 @@ class TestBrokerCompaction:
 
     def test_compaction_survives_repeated_crash_cycles(self):
         sim, tb, broker, journal = build(seed=9)
-        hops = None
+        held = []
         for cycle in range(3):
             claimed = broker.admit_path(
                 tb.premium_src, tb.premium_dst, mbps(1),
                 float(cycle), float(cycle) + 2.0, owner="cycler",
             )
-            hops = len(claimed)
+            held.append(claimed)
             broker.compact_journal()
             expected = broker.snapshot()
             broker.crash()
@@ -123,7 +119,7 @@ class TestBrokerCompaction:
             assert broker.snapshot() == expected
             broker.reregister(claimed)
         assert journal.snapshots_total == 3
-        assert total_entries(broker) == 3 * hops
+        assert broker.conservation_errors(held) == []
 
     def test_released_state_does_not_resurrect_after_compaction(self):
         sim, tb, broker, journal = build(seed=5)
@@ -134,5 +130,5 @@ class TestBrokerCompaction:
         broker.compact_journal()
         broker.crash()
         broker.restart()
-        assert total_entries(broker) == 0
+        assert broker.conservation_errors([]) == []
         assert broker._owner_usage.get(("gone",)) is None

@@ -201,13 +201,15 @@ class TestAgentBrokerOutage:
         assert gq.detector.recoveries == 1
         # Exactly one live path claim: the write-behind release of the
         # pre-crash claims flushed at restart, so nothing double-books.
-        usage = sum(
-            t.usage_at(sim.now) for t in gq.broker._tables.values()
-        )
-        hops = len(
+        held = list(gq.network_manager._claims.values())
+        assert len(held) == 1
+        assert gq.broker.conservation_errors(held) == []
+        spec = [mbps(1)] * len(
             tb.network.path_interfaces(tb.premium_src, tb.premium_dst)
         )
-        assert usage == pytest.approx(mbps(1) * hops)
+        assert [c[3] for c in held[0]] == spec
+        now = [gq.broker.table_for(c[0]).usage_at(sim.now) for c in held[0]]
+        assert now == pytest.approx(spec)
         sim.run(until=10.0 + gq.broker.gc_grace + 1.0)
         assert gq.broker.orphans_collected == 0
 

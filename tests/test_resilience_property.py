@@ -94,12 +94,11 @@ class TestBrokerConservation:
             - broker.orphan_paths_collected
             == len(live)
         )
-        live_entries = sum(len(c) for c in live)
-        assert sum(len(t) for t in broker._tables.values()) == live_entries
+        assert broker.conservation_errors(live) == []
         # Releasing everything drains the tables and usage completely.
         for claims in live:
             broker.release(claims)
-        assert sum(len(t) for t in broker._tables.values()) == 0
+        assert broker.conservation_errors([]) == []
         assert broker._owner_usage == {}
 
 

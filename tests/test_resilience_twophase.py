@@ -46,14 +46,17 @@ def three_branches(tb, cpu, server):
 
 
 def residual_claims(broker, gara):
-    entries = sum(len(t) for t in broker._tables.values())
+    """(network claims, CPU entries, storage entries) still booked. The
+    network claims are checked against the broker's slot tables."""
+    held = gara.manager("network")._claims.values()
+    assert broker.conservation_errors(held) == []
     cpu_entries = sum(
         len(t) for t in gara.manager("cpu")._tables.values()
     )
     storage_entries = sum(
         len(t) for t in gara.manager("storage")._tables.values()
     )
-    return entries, cpu_entries, storage_entries
+    return len(held), cpu_entries, storage_entries
 
 
 class TestCommitPath:
