@@ -12,18 +12,13 @@ from repro.slo.chaos import run_soak
 SOAK_SEEDS = (0, 1, 2)
 
 
-def _soak_one(seed: int):
-    """Module-level so --bench-parallel can ship it to pool workers."""
-    return run_soak(seed=seed, cycles=2)
-
-
-def test_adaptation_chaos_soak(once, fanout):
+def test_adaptation_chaos_soak(once):
     """The CI soak's invariants, over 3 seeds: conservation after each
     restart, empty slot tables at the end, flaps under the bound, and
     the full ladder (degrade to best-effort, restore to premium)."""
 
     def soak():
-        return fanout(_soak_one, SOAK_SEEDS)
+        return [run_soak(seed=seed, cycles=2) for seed in SOAK_SEEDS]
 
     runs = once(soak)
     for seed, stats in zip(SOAK_SEEDS, runs):

@@ -132,14 +132,9 @@ def test_broker_crash_recovers_within_5pct(once):
     assert crashed["orphan_paths"] == 0
 
 
-def _soak_one(seed: int):
-    """Module-level so --bench-parallel can ship it to pool workers."""
-    return crash_run(seed=seed, crash=True)
-
-
-def test_broker_crash_soak_5_seeds(once, fanout):
+def test_broker_crash_soak_5_seeds(once):
     def soak():
-        return fanout(_soak_one, SOAK_SEEDS)
+        return [crash_run(seed=seed, crash=True) for seed in SOAK_SEEDS]
 
     runs = once(soak)
     for seed, stats in zip(SOAK_SEEDS, runs):

@@ -1,6 +1,6 @@
 """Substrate microbenchmarks: simulator, TCP, and MPI engine speed.
 
-Unlike the figure benches (single whole-simulation runs), these are
+Unlike the other benches (single whole-simulation runs), these are
 true repeated-measurement microbenchmarks of the hot paths, so
 regressions in the event loop or the TCP datapath show up directly.
 """

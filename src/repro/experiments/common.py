@@ -96,10 +96,9 @@ def build_deployment(
             contention.start()
     deployment = GarnetDeployment(sim, testbed, gq, contention)
     # Hand the simulator and deployment to the active telemetry session
-    # (every executor job has one; benchmarks with --metrics-out). An
-    # instrumenting session scrapes the deployment at snapshot time; a
-    # record-only one just counts the simulator's events, at zero
-    # per-event cost.
+    # (every executor job has one). An instrumenting session scrapes the
+    # deployment at snapshot time; a record-only one just counts the
+    # simulator's events, at zero per-event cost.
     tel = _telemetry.active()
     if tel is not None:
         tel.attach(sim)

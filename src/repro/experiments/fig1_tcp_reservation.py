@@ -13,7 +13,7 @@ bucket rule) below that rate, UDP contention on the backbone.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, List
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..net.packet import PROTO_TCP
 from ..transport.tcp import TcpConfig
 from .common import ExperimentResult, build_deployment
 
-__all__ = ["run", "install"]
+__all__ = ["run", "check", "install"]
 
 _PORT = 5501
 
@@ -201,3 +201,26 @@ def run(
         # quick JSON is pinned byte-identical across PRs.
         result.extra["mode"] = mode
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Figure 1's claims, one message per claim the result breaks:
+    policing holds the mean below the attempted rate and near the
+    reservation, while the trace oscillates wildly around it (dips well
+    below, peaks up to it) with retransmissions throughout."""
+    extra = result.extra
+    mean, std, low, high, attempted = (
+        extra[f"{name}_kbps"] / extra["reserved_kbps"]
+        for name in ("mean", "std", "min", "max", "attempted")
+    )
+    retransmissions = extra["retransmissions"]
+    claims = [
+        (mean < attempted,
+         f"mean/reserved {mean:.3f} < attempted/reserved {attempted:.3f}"),
+        (0.4 < mean < 1.05, f"0.4 < mean/reserved {mean:.3f} < 1.05"),
+        (std > 0.05, f"std/reserved {std:.3f} > 0.05"),
+        (low < 0.85, f"min/reserved {low:.3f} < 0.85"),
+        (high > 0.95, f"max/reserved {high:.3f} > 0.95"),
+        (retransmissions > 0, f"retransmissions {retransmissions} > 0"),
+    ]
+    return [f"fig1: {claim} fails" for holds, claim in claims if not holds]

@@ -14,7 +14,7 @@ directions are reserved, exactly as the paper notes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from ..net import kbps, mbps
 from ..transport.tcp import TcpConfig
 from .common import ExperimentResult, build_deployment
 
-__all__ = ["run", "measure_point", "MESSAGE_SIZES_BITS"]
+__all__ = ["run", "check", "measure_point", "MESSAGE_SIZES_BITS"]
 
 #: The paper's message sizes, in bits (its "Kb messages" legend).
 MESSAGE_SIZES_BITS = (8_000, 40_000, 80_000, 120_000)
@@ -106,3 +106,37 @@ def run(
             np.asarray(ys, dtype=float),
         )
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Figure 5's claims (§5.2), one message per claim the result
+    breaks: throughput rises with the reservation, then flattens (a 2%
+    dip is noise); bigger messages reach a higher plateau, the largest
+    over twice the smallest's; the smallest message is near its plateau
+    by 2000 Kb/s; a deeply inadequate reservation delivers well under
+    its own size. Throughputs are in Kb/s."""
+    curves: Dict[int, Dict[float, float]] = {}
+    for message_kbits, reservation, throughput in sorted(result.rows):
+        curves.setdefault(message_kbits, {})[reservation] = throughput
+    claims = []
+    for message_kbits, curve in sorted(curves.items()):
+        ys = list(curve.values())
+        claims.append((
+            all(b >= 0.98 * a for a, b in zip(ys, ys[1:])),
+            f"{message_kbits} Kb {[round(y) for y in ys]} rises",
+        ))
+    plateaus = [max(curve.values()) for _, curve in sorted(curves.items())]
+    smallest, largest = curves[min(curves)], curves[max(curves)]
+    lowest = min(largest)
+    claims += [
+        (all(a < b for a, b in zip(plateaus, plateaus[1:]))
+         and plateaus[-1] > 2.0 * plateaus[0],
+         f"plateaus {[round(p) for p in plateaus]} rise, last > 2x first"),
+        (smallest[2000] > 0.4 * plateaus[0],
+         f"smallest message at 2000 Kb/s {smallest[2000]:.0f} "
+         f"> 0.4 x its plateau {plateaus[0]:.0f}"),
+        (largest[lowest] < 0.7 * lowest,
+         f"largest message at {lowest} Kb/s {largest[lowest]:.0f} "
+         f"< 0.7 x {lowest}"),
+    ]
+    return [f"fig5: {claim} fails" for holds, claim in claims if not holds]

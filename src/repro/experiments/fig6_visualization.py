@@ -21,7 +21,7 @@ from ..net import KB, kbps, mbps
 from ..transport.tcp import TcpConfig
 from .common import ExperimentResult, build_deployment
 
-__all__ = ["run", "measure_point", "plan_points", "FRAME_SIZES_KB"]
+__all__ = ["run", "check", "measure_point", "plan_points", "FRAME_SIZES_KB"]
 
 #: Paper frame sizes (KB) at 10 fps -> 400/800/1600/2400 Kb/s targets.
 FRAME_SIZES_KB = (5, 10, 20, 30)
@@ -151,3 +151,22 @@ def run(
             np.asarray(ys, dtype=float),
         )
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Figure 6's claims (§5.3), one message per grid point that breaks
+    them: a reservation of about 1.06x the sending rate delivers it in
+    full, while any reservation below the rate collapses throughput
+    under 0.65x the target (TCP backoff, not a proportional loss) and
+    under the reservation itself (worse than simple scaling)."""
+    claims = []
+    for target, reservation, throughput in result.rows:
+        point = f"{target:.0f} Kb/s target at {reservation} Kb/s reserved"
+        if reservation >= 1.05 * target:
+            claims.append((throughput > 0.95 * target,
+                           f"{point}: {throughput:.0f} > 0.95 x target"))
+        elif reservation < target:
+            claims.append((throughput < min(0.65 * target, reservation),
+                           f"{point}: {throughput:.0f} < 0.65 x target "
+                           f"and < reserved"))
+    return [f"fig6: {claim} fails" for holds, claim in claims if not holds]

@@ -9,6 +9,8 @@ program sending just 1 frame per second, and the frame is 400Kb."
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from ..apps import VisualizationPipeline
@@ -16,7 +18,7 @@ from ..net import KB, kbps, mbps
 from ..transport.tcp import TcpConfig
 from .common import ExperimentResult, build_deployment
 
-__all__ = ["run", "trace_for"]
+__all__ = ["run", "check", "trace_for"]
 
 
 def trace_for(
@@ -96,3 +98,18 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
         extra={"bandwidth_kbps": bandwidth_kbps},
     )
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Figure 7's claims, one message per claim the result breaks: the
+    two profiles send the same volume, the 1 fps one "in one much
+    larger burst", the 10 fps one in bursts of about a frame."""
+    (_, smooth, smooth_peak), (_, bursty, bursty_peak) = result.rows
+    claims = [
+        (0.5 * smooth <= bursty <= 2.0 * smooth,
+         f"1 fps {bursty:.1f} KB within 0.5-2 x 10 fps {smooth:.1f} KB"),
+        (bursty_peak > 3.0 * smooth_peak,
+         f"1 fps peak {bursty_peak:.1f} KB > 3 x 10 fps {smooth_peak:.1f}"),
+        (smooth_peak < 10.0, f"10 fps peak {smooth_peak:.1f} KB < 10"),
+    ]
+    return [f"fig7: {claim} fails" for holds, claim in claims if not holds]

@@ -15,6 +15,8 @@ timer-driven enablement.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from ..apps import CpuHog, VisualizationPipeline
@@ -24,7 +26,7 @@ from ..net import mbps
 from ..transport.tcp import TcpConfig
 from .common import ExperimentResult, build_deployment
 
-__all__ = ["run"]
+__all__ = ["run", "check"]
 
 
 def run(
@@ -101,3 +103,24 @@ def run(
         },
     )
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Figure 8's claims (§5.5), one message per claim the result
+    breaks: steady full rate, a significant drop once the CPU hog
+    starts, full rate again once the 90% DSRT reservation activates.
+    Rates are in Kb/s."""
+    target, before, during, after = (
+        result.extra[f"{phase}_kbps"]
+        for phase in ("target", "before_contention", "during_contention",
+                      "after_reservation")
+    )
+    claims = [
+        (before > 0.95 * target,
+         f"before the hog {before:.0f} > 0.95 x target {target:.0f}"),
+        (during < 0.75 * before,
+         f"under the hog {during:.0f} < 0.75 x before it {before:.0f}"),
+        (after > 0.9 * target,
+         f"under the reservation {after:.0f} > 0.9 x target {target:.0f}"),
+    ]
+    return [f"fig8: {claim} fails" for holds, claim in claims if not holds]

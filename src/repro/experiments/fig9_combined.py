@@ -12,6 +12,8 @@ reservation or a CPU reservation: both reservations are needed."
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from ..apps import CpuHog, VisualizationPipeline
@@ -21,7 +23,7 @@ from ..net import mbps
 from ..transport.tcp import TcpConfig
 from .common import ExperimentResult, build_deployment
 
-__all__ = ["run"]
+__all__ = ["run", "check"]
 
 
 def run(
@@ -121,3 +123,25 @@ def run(
         },
     )
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Figure 9's claims (§5.5), one message per claim the result
+    breaks: each contention phase visibly degrades the stream and each
+    reservation restores it — the network reservation alone does not
+    survive CPU contention, both together do. Rates are in Kb/s."""
+    target, p1, p2, p3, p4, p5 = (
+        result.extra[f"{phase}_kbps"]
+        for phase in ("target", "phase1_clean", "phase2_congested",
+                      "phase3_net_reserved", "phase4_cpu_contended",
+                      "phase5_both_reserved")
+    )
+    claims = [
+        (p1 > 0.95 * target, f"clean {p1:.0f} > 0.95 x target {target:.0f}"),
+        (p2 < 0.7 * p1, f"congested {p2:.0f} < 0.7 x clean {p1:.0f}"),
+        (p3 > 0.9 * target, f"net-reserved {p3:.0f} > 0.9 x target"),
+        (p4 < 0.75 * p3,
+         f"CPU-contended {p4:.0f} < 0.75 x net-reserved {p3:.0f}"),
+        (p5 > 0.9 * target, f"both-reserved {p5:.0f} > 0.9 x target"),
+    ]
+    return [f"fig9: {claim} fails" for holds, claim in claims if not holds]

@@ -6,10 +6,12 @@ Usage::
                         [--mode M] [--shards N] [exp ...]
 
 where ``exp`` is any key of :data:`EXPERIMENTS` (default: all, in paper
-order). ``--quick`` runs the scaled-down variants the benchmark suite
-uses. :data:`EXPERIMENTS` declares, once, what each experiment is: its
-``run``, the independent cells it splits into (if any), the ``--mode``
-values it accepts and whether ``--shards`` can partition it. One
+order). ``--quick`` runs scaled-down variants. :data:`EXPERIMENTS`
+declares, once, what each experiment is: its ``run``, the independent
+cells it splits into (if any), the ``--mode`` values it accepts,
+whether ``--shards`` can partition it and, for a paper artifact, the
+``check`` stating the paper's claims about it. Every invocation
+checks them and exits 1, after writing everything, if one broke. One
 executor (:mod:`repro.experiments.parallel`) runs that declaration
 every way: in this process, or over ``--parallel N`` workers;
 ``--shards N`` partitions a single simulation across N PDES workers
@@ -27,7 +29,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .. import telemetry
 from . import (
@@ -79,13 +81,17 @@ class Experiment(NamedTuple):
     cells: Optional[Cells] = None
     modes: Tuple[str, ...] = ("packet",)
     shardable: bool = False
+    #: ``check(result) -> [message, ...]``: the paper's claims about
+    #: this artifact, one message per claim the result breaks.
+    check: Optional[Callable] = None
 
 
 EXPERIMENTS = {
     "fig1": Experiment(
-        fig1_tcp_reservation.run, 4.0, modes=MODES, shardable=True
+        fig1_tcp_reservation.run, 4.0, modes=MODES, shardable=True,
+        check=fig1_tcp_reservation.check,
     ),
-    "fig5": Experiment(fig5_pingpong.run, 8.5),
+    "fig5": Experiment(fig5_pingpong.run, 8.5, check=fig5_pingpong.check),
     "fig6": Experiment(
         fig6_visualization.run,
         14.0,
@@ -94,8 +100,11 @@ EXPERIMENTS = {
             fig6_visualization.measure_point,
             lambda key: 2.0,
         ),
+        check=fig6_visualization.check,
     ),
-    "fig7": Experiment(fig7_burstiness_traces.run, 2.0),
+    "fig7": Experiment(
+        fig7_burstiness_traces.run, 2.0, check=fig7_burstiness_traces.check
+    ),
     # A table1 cell runs ~5-10 bisection probes; probe cost grows with
     # the cell's target bandwidth (key[0], Kb/s), so weight by it. The
     # AQM tables' cells are single runs of the same probe.
@@ -107,6 +116,7 @@ EXPERIMENTS = {
             table1_burstiness.required_reservation,
             lambda key: key[0] * 0.008,
         ),
+        check=table1_burstiness.check,
     ),
     "table1_aqm": Experiment(
         table1_aqm.run,
@@ -126,8 +136,10 @@ EXPERIMENTS = {
             lambda key: key[0] * 0.001,
         ),
     ),
-    "fig8": Experiment(fig8_cpu_reservation.run, 0.5),
-    "fig9": Experiment(fig9_combined.run, 11.0),
+    "fig8": Experiment(
+        fig8_cpu_reservation.run, 0.5, check=fig8_cpu_reservation.check
+    ),
+    "fig9": Experiment(fig9_combined.run, 11.0, check=fig9_combined.check),
     "fig_adaptation": Experiment(
         fig_adaptation.run,
         5.0,
@@ -177,11 +189,17 @@ def _payload(result, quick: bool, seed: int) -> dict:
     }
 
 
-def _report(name, result, record, args) -> None:
-    """Print one experiment's result; with ``--out`` write its JSON
-    dump and, beside it, its run record."""
+def _report(name, result, record, args) -> List[str]:
+    """Print one experiment's result and every paper claim it breaks
+    (to stderr, which a redirected run still shows); with ``--out``
+    write its JSON dump and, beside it, its run record. Returns the
+    broken claims."""
     print(render_result(result))
     print(f"[{name} completed in {record['phases']['run_s']:.1f}s]\n")
+    check = EXPERIMENTS[name].check
+    failures = check(result) if check is not None else []
+    for message in failures:
+        print(f"CLAIM FAILED {message}", file=sys.stderr)
     collected = record["telemetry"]
     if collected is not None:
         print(
@@ -189,7 +207,7 @@ def _report(name, result, record, args) -> None:
             f"{collected['span_events']} span events]\n"
         )
     if args.out is None:
-        return
+        return failures
     args.out.mkdir(parents=True, exist_ok=True)
     for suffix, payload in (
         ("json", _payload(result, args.quick, args.seed)),
@@ -198,17 +216,16 @@ def _report(name, result, record, args) -> None:
         path = args.out / f"{name}.{suffix}"
         path.write_text(json.dumps(payload, indent=2))
         print(f"[wrote {path}]\n")
-    if collected is None:
-        return
-    if any(collected.values()):
+    if collected is not None and any(collected.values()):
         print(f"[wrote {args.out / name}.metrics.json and .csv]\n")
-    else:
+    elif collected is not None:
         # E.g. fig1 --shards N: the PDES scenario keeps no registry and
         # its simulators live in the shard workers.
         print(
             "[no metrics files: the session saw no instrumented "
             "simulator, so it has nothing to export]\n"
         )
+    return failures
 
 
 def main(argv=None) -> int:
@@ -297,6 +314,9 @@ def main(argv=None) -> int:
 
     from .parallel import run_parallel
 
+    # Every experiment runs and is written before a broken claim fails
+    # the invocation.
+    failed = False
     for name, result, record in run_parallel(
         selected,
         quick=args.quick,
@@ -307,8 +327,8 @@ def main(argv=None) -> int:
         mode=args.mode,
         shards=args.shards,
     ):
-        _report(name, result, record, args)
-    return 0
+        failed |= bool(_report(name, result, record, args))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from ..net import KB
 from .common import ExperimentResult
 from .fig6_visualization import measure_point
 
-__all__ = ["run", "required_reservation", "plan_cells", "grid_cells"]
+__all__ = ["run", "check", "required_reservation", "plan_cells", "grid_cells"]
 
 FULL_BANDWIDTHS = (400, 800, 1600, 2400)
 QUICK_BANDWIDTHS = (400, 1600)
@@ -170,3 +170,25 @@ def run(
     if ratios:
         result.extra["bursty_over_smooth_ratio"] = sum(ratios) / len(ratios)
     return result
+
+
+def check(result: ExperimentResult) -> List[str]:
+    """Table 1's claims (§5.4), one message per row and claim the result
+    breaks: every cell is adequate somewhere in the search range (NaN
+    is not); the smooth profile needs a modest margin; the bursty one
+    with the normal bucket clearly more; the large bucket erases that
+    penalty."""
+    claims = []
+    for bandwidth, smooth, bursty, large in result.rows:
+        row = f"{bandwidth} Kb/s row"
+        claims += [
+            (all(cell == cell for cell in (smooth, bursty, large)),
+             f"{row}: no NaN in {smooth}, {bursty}, {large}"),
+            (smooth <= 1.5 * bandwidth,
+             f"{row}: smooth {smooth} <= 1.5 x {bandwidth}"),
+            (bursty >= 1.15 * smooth,
+             f"{row}: bursty {bursty} >= 1.15 x smooth {smooth}"),
+            (large <= 1.05 * smooth,
+             f"{row}: large bucket {large} <= 1.05 x smooth {smooth}"),
+        ]
+    return [f"table1: {claim} fails" for holds, claim in claims if not holds]

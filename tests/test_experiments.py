@@ -1,21 +1,39 @@
-"""Smoke and shape tests for the experiment regenerators.
+"""Tests for the experiment regenerators and the runner.
 
-Full fidelity lives in ``benchmarks/``; here we check that each
-regenerator runs, produces well-formed results, and preserves the
-paper's core qualitative relationships at reduced scale.
+Each paper artifact's qualitative claims are stated once, in its
+module's ``check(result)``; here they are held against the checked-in
+full-scale ``results/*.json`` and fresh quick runs, and shown to be
+able to fail. The rest checks that regenerators produce well-formed
+results and that the runner and its registry agree with the code.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.experiments import build_deployment
+from repro.experiments import fig1_tcp_reservation as fig1
+from repro.experiments import fig7_burstiness_traces as fig7
+from repro.experiments import fig8_cpu_reservation as fig8
+from repro.experiments import fig9_combined as fig9
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig5_pingpong import measure_point as fig5_point
 from repro.experiments.fig6_visualization import measure_point as fig6_point
-from repro.experiments.fig7_burstiness_traces import run as fig7_run
-from repro.experiments.fig8_cpu_reservation import run as fig8_run
 from repro.experiments.report import ascii_plot, format_table, render_result
+from repro.experiments.runner import EXPERIMENTS
 from repro.net import mbps
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+PAPER_ARTIFACTS = ("fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "table1")
+
+
+def load_result(name: str) -> ExperimentResult:
+    """The checked-in full-scale result of ``name``, as ``check`` sees it."""
+    payload = json.loads((RESULTS / f"{name}.json").read_text())
+    fields = ("experiment", "description", "headers", "rows", "extra")
+    return ExperimentResult(**{field: payload[field] for field in fields})
 
 
 class TestDeployment:
@@ -39,47 +57,70 @@ class TestFig5Shape:
         assert reserved > 3 * max(starved, 1.0)
 
 
-class TestFig6Shape:
-    def test_adequacy_cliff(self):
-        # 5 KB frames at 10 fps: 410 Kb/s target.
-        inadequate = fig6_point(5, 300, duration=5.0)
-        adequate = fig6_point(5, 500, duration=5.0)
-        assert adequate > 0.9 * 410
-        assert inadequate < 0.8 * adequate
-
-
 class TestFig7:
     def test_result_structure(self):
-        result = fig7_run(quick=True)
+        result = fig7.run(quick=True)
         assert isinstance(result, ExperimentResult)
         assert set(result.series) == {"10fps", "1fps"}
         for _name, (x, y) in result.series.items():
             assert len(x) == len(y)
             assert np.all(np.diff(y) >= -1e9)  # cumulative, nondecreasing
-        smooth, bursty = result.rows
-        # Same volume; the 1 fps program sends it in one much larger burst.
-        assert 0.5 * smooth[1] <= bursty[1] <= 2.0 * smooth[1]
-        assert bursty[2] > 3.0 * smooth[2]
-        assert smooth[2] < 10.0
-
-
-def assert_fig8_shape(result):
-    """Fig 8 (§5.5): steady full rate, a significant drop once the CPU
-    hog starts, full rate again once the 90% DSRT reservation activates."""
-    extra = result.extra
-    target, before = extra["target_kbps"], extra["before_contention_kbps"]
-    assert before > 0.95 * target
-    assert extra["during_contention_kbps"] < 0.75 * before
-    assert extra["after_reservation_kbps"] > 0.9 * target
+        assert fig7.check(result) == []
 
 
 class TestFig8:
     def test_three_phases(self):
-        result = fig8_run(quick=True)
-        assert_fig8_shape(result)
+        result = fig8.run(quick=True)
+        assert fig8.check(result) == []
         # Trace rows well-formed.
         assert result.headers == ["time_s", "bandwidth_kbps"]
         assert all(len(row) == 2 for row in result.rows)
+
+
+def _perturb(result, key, column, value):
+    """Set ``extra[key]``, or ``column`` of the row that starts with
+    the tuple ``key``."""
+    if isinstance(key, str):
+        result.extra[key] = value
+        return
+    (row,) = [row for row in result.rows if tuple(row[: len(key)]) == key]
+    row[column] = value
+
+
+class TestPaperClaims:
+    """Every registered ``check`` holds on the paper artifacts it
+    describes, and each of its claims is one that can fail."""
+
+    @pytest.mark.parametrize("name", PAPER_ARTIFACTS)
+    def test_checked_in_result_holds(self, name):
+        assert EXPERIMENTS[name].check(load_result(name)) == []
+
+    @pytest.mark.parametrize("module", [fig1, fig9], ids=["fig1", "fig9"])
+    def test_fresh_quick_run_holds(self, module):
+        assert module.check(module.run(quick=True)) == []
+
+    @pytest.mark.parametrize(
+        "name, key, column, value",
+        [
+            ("fig1", "retransmissions", None, 0),
+            # 120 Kb at 250 Kb/s: more than 0.7x the reservation, still
+            # no more than the 500 Kb/s point, so the curve still rises.
+            ("fig5", (120, 250), 2, 200.0),
+            ("fig6", (2457.6, 2600), 2, 2000.0),
+            ("fig7", ("1fps x 400Kb",), 1, 200.0),
+            ("fig8", "during_contention_kbps", None, 15000.0),
+            ("fig9", "phase5_both_reserved_kbps", None, 20000.0),
+            ("table1", (400,), 3, 600.0),
+        ],
+        ids=PAPER_ARTIFACTS,
+    )
+    def test_one_perturbed_number_breaks_one_claim(
+        self, name, key, column, value
+    ):
+        result = load_result(name)
+        _perturb(result, key, column, value)
+        (message,) = EXPERIMENTS[name].check(result)
+        assert message.startswith(f"{name}: ")
 
 
 class TestReport:
@@ -205,6 +246,25 @@ class TestRunnerCli:
         assert sum(pdes["per_shard_events"]) == record["events_processed"]
         assert sum(pdes["boundary_messages"]) > 0
 
+    def test_runner_fails_on_a_broken_claim(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A broken claim is printed and exits 1, after the result and
+        its record are written."""
+        from repro.experiments.runner import main
+
+        monkeypatch.setitem(
+            EXPERIMENTS, "fig8",
+            EXPERIMENTS["fig8"]._replace(
+                check=lambda result: ["fig8: a broken claim"]
+            ),
+        )
+        assert main(["fig8", "--quick", "--no-telemetry",
+                     "--out", str(tmp_path)]) == 1
+        assert "fig8: a broken claim" in capsys.readouterr().err
+        assert (tmp_path / "fig8.json").exists()
+        assert (tmp_path / "fig8.run.json").exists()
+
     def test_runner_rejects_bad_parallel(self):
         from repro.experiments.runner import main
 
@@ -271,23 +331,25 @@ class TestRegistry:
     the CLI trust, so it must agree with the code it describes."""
 
     def test_every_module_with_a_run_is_registered(self):
+        """... and so is every module's ``check``."""
         import importlib
         import pkgutil
 
         import repro.experiments as package
-        from repro.experiments.runner import EXPERIMENTS
 
-        registered = {entry.run for entry in EXPERIMENTS.values()}
+        registered = {
+            field: {getattr(entry, field) for entry in EXPERIMENTS.values()}
+            for field in ("run", "check")
+        }
         for info in pkgutil.iter_modules(package.__path__):
             module = importlib.import_module(f"{package.__name__}.{info.name}")
-            run = vars(module).get("run")
-            if run is not None and run.__module__ == module.__name__:
-                assert run in registered, info.name
+            for field, fns in registered.items():
+                fn = vars(module).get(field)
+                if fn is not None and fn.__module__ == module.__name__:
+                    assert fn in fns, (info.name, field)
 
     def test_declared_capabilities_match_run_signatures(self):
         import inspect
-
-        from repro.experiments.runner import EXPERIMENTS
 
         for name, entry in EXPERIMENTS.items():
             params = inspect.signature(entry.run).parameters
@@ -297,8 +359,6 @@ class TestRegistry:
             assert "packet" in entry.modes and entry.weight > 0, name
 
     def test_cell_plans_are_unique_and_exactly_consumed(self):
-        from repro.experiments.runner import EXPERIMENTS
-
         with_cells = {
             name: entry for name, entry in EXPERIMENTS.items() if entry.cells
         }
