@@ -56,13 +56,16 @@ def build_deployment(
     aqm=None,
     resilient: bool = False,
     mode: str = "packet",
+    redundant_backbone: bool = False,
 ) -> GarnetDeployment:
     """GARNET + MPICH-GQ (ranks 0/1 on the premium hosts) + optional
     UDP contention between the competitive hosts. ``aqm`` optionally
     switches the domain from the paper's drop-tail configuration to a
     WRED / WRED+ECN one (see :class:`repro.aqm.AqmPolicy`);
     ``resilient`` attaches the broker's write-ahead journal so
-    crash/restart experiments recover state instead of losing it.
+    crash/restart experiments recover state instead of losing it;
+    ``redundant_backbone`` adds GARNET's standby core, a detour around
+    a failed backbone link.
     ``mode="hybrid"`` advances the UDP contention generator as a fluid
     rate envelope (:mod:`repro.net.fluid`) instead of per-packet events;
     ``"packet"`` (the default) simulates every datagram."""
@@ -74,6 +77,7 @@ def build_deployment(
         backbone_bandwidth=backbone_bandwidth,
         access_bandwidth=access_bandwidth,
         backbone_delay=backbone_delay,
+        redundant_backbone=redundant_backbone,
     )
     gq = MpichGQ.on_garnet(
         testbed,
@@ -108,7 +112,7 @@ def build_deployment(
 
 @dataclass
 class ExperimentResult:
-    """Uniform container the runner and benchmarks consume."""
+    """Uniform container every ``run`` returns and every ``check`` reads."""
 
     experiment: str
     description: str

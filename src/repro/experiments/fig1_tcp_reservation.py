@@ -13,6 +13,7 @@ bucket rule) below that rate, UDP contention on the backbone.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, List
 
 import numpy as np
@@ -25,7 +26,7 @@ from ..net.packet import PROTO_TCP
 from ..transport.tcp import TcpConfig
 from .common import ExperimentResult, build_deployment
 
-__all__ = ["run", "check", "install"]
+__all__ = ["run", "check", "install", "transfer", "flow_spec"]
 
 _PORT = 5501
 
@@ -47,14 +48,15 @@ def install(
     reserved_rate: float,
     duration: float,
     owns: Callable[[str], bool] = lambda name: True,
+    config: TcpConfig = _TCP_CONFIG,
 ) -> dict:
-    """Figure 1's reservation and its two application processes.
+    """Figure 1's reservation, its flow binding and the :func:`transfer`
+    it polices.
 
-    The reservation and its flow binding are control-plane state, made
-    on every caller; the draining server and the paced client start
-    only where ``owns`` names their host (a PDES shard owns a subset,
-    a serial run everything). Returns the dict the processes publish
-    their connections in, under ``"server"`` and ``"client"``.
+    The reservation and its binding are control-plane state, made on
+    every caller; the transfer's processes start only where ``owns``
+    names their host (a PDES shard owns a subset, a serial run
+    everything).
     """
     # Figure 1 predates the paper's bandwidth/40 depth rule (§4.3); the
     # premium service it exercised had a generous burst allowance, so
@@ -64,15 +66,39 @@ def install(
         testbed.premium_src, testbed.premium_dst, reserved_rate,
         bucket_divisor=16.0,
     )
-    gara.bind(
-        gara.reserve(spec),
-        FlowSpec(
-            src=testbed.premium_src.addr,
-            dst=testbed.premium_dst.addr,
-            dport=_PORT,
-            proto=PROTO_TCP,
-        ),
+    gara.bind(gara.reserve(spec), flow_spec(testbed))
+    return transfer(
+        sim, testbed, tcp_src, tcp_dst, attempted_rate, duration, config,
+        owns,
     )
+
+
+def flow_spec(testbed) -> FlowSpec:
+    """The premium TCP flow a Figure 1 reservation binds."""
+    return FlowSpec(
+        src=testbed.premium_src.addr,
+        dst=testbed.premium_dst.addr,
+        dport=_PORT,
+        proto=PROTO_TCP,
+    )
+
+
+def transfer(
+    sim,
+    testbed,
+    tcp_src,
+    tcp_dst,
+    attempted_rate: float,
+    duration: float,
+    config: TcpConfig,
+    owns: Callable[[str], bool] = lambda name: True,
+) -> dict:
+    """Figure 1's two application processes: a server draining the
+    premium destination's port and a client writing 16 KB chunks at
+    ``attempted_rate`` until ``duration``. Returns the dict the
+    processes publish their connections in, under ``"server"`` and
+    ``"client"``.
+    """
     state: dict = {}
 
     def server(listener):
@@ -84,9 +110,7 @@ def install(
                 return
 
     def client():
-        conn = tcp_src.connect(
-            testbed.premium_dst.addr, _PORT, config=_TCP_CONFIG
-        )
+        conn = tcp_src.connect(testbed.premium_dst.addr, _PORT, config=config)
         state["client"] = conn
         yield conn.established_event
         # Application paced at the attempted rate, 16 KB writes.
@@ -97,7 +121,7 @@ def install(
             yield conn.send(chunk)
 
     if owns(testbed.premium_dst.name):
-        listener = tcp_dst.listen(_PORT, config=_TCP_CONFIG)
+        listener = tcp_dst.listen(_PORT, config=config)
         sim.process(server(listener), name="fig1-server")
     if owns(testbed.premium_src.name):
         sim.process(client(), name="fig1-client")
@@ -115,21 +139,26 @@ def run(
     contention_rate: float = mbps(30.0),
     access_bandwidth: float = mbps(100.0),
     shards: int = 1,
+    recovery: str = "reno",
 ) -> ExperimentResult:
     """Produce the Figure 1 trace.
 
-    ``shards > 1`` runs the same flow through the PDES ``fig1``
-    scenario (:mod:`repro.pdes`), whose merged trace is byte-identical
-    to the serial one; that scenario is packet-mode on the paper's
-    100 Mb/s access links with 1 s bins.
+    ``recovery`` is the sender's loss recovery (``"newreno"`` is the
+    recovery ablation's other arm). ``shards > 1`` runs the same flow
+    through the PDES ``fig1`` scenario (:mod:`repro.pdes`), whose
+    merged trace is byte-identical to the serial one; that scenario is
+    packet-mode Reno on the paper's 100 Mb/s access links with 1 s
+    bins.
     """
     if duration is None:
         duration = 12.0 if quick else 100.0
     if shards > 1:
-        if (mode, bin_seconds, access_bandwidth) != ("packet", 1.0, mbps(100.0)):
+        if (mode, bin_seconds, access_bandwidth, recovery) != (
+            "packet", 1.0, mbps(100.0), "reno"
+        ):
             raise ValueError(
-                "the sharded fig1 scenario fixes mode, bin_seconds and "
-                "access_bandwidth at their defaults"
+                "the sharded fig1 scenario fixes mode, bin_seconds, "
+                "access_bandwidth and recovery at their defaults"
             )
         # Imported here: repro.pdes.scenarios imports install() above.
         from ..pdes import run_scenario
@@ -150,13 +179,17 @@ def run(
         rates_kbps = np.asarray(merged["rates_kbps"])
         retransmissions = merged["retransmissions"]
     else:
+        config = (
+            _TCP_CONFIG if recovery == "reno"
+            else replace(_TCP_CONFIG, recovery=recovery)
+        )
         dep = build_deployment(
             seed=seed,
             backbone_bandwidth=mbps(155.0),
             access_bandwidth=access_bandwidth,
             backbone_delay=2e-3,
             contention_rate=contention_rate,
-            tcp_config=_TCP_CONFIG,
+            tcp_config=config,
             mode=mode,
         )
         sim, gq = dep.sim, dep.gq
@@ -169,6 +202,7 @@ def run(
             attempted_rate,
             reserved_rate,
             duration,
+            config=config,
         )
         sim.run(until=duration)
         times, rates = state["server"].delivered_counter.rate_series(

@@ -9,13 +9,13 @@ where ``exp`` is any key of :data:`EXPERIMENTS` (default: all, in paper
 order). ``--quick`` runs scaled-down variants. :data:`EXPERIMENTS`
 declares, once, what each experiment is: its ``run``, the independent
 cells it splits into (if any), the ``--mode`` values it accepts,
-whether ``--shards`` can partition it and, for a paper artifact, the
-``check`` stating the paper's claims about it. Every invocation
-checks them and exits 1, after writing everything, if one broke. One
-executor (:mod:`repro.experiments.parallel`) runs that declaration
-every way: in this process, or over ``--parallel N`` workers;
-``--shards N`` partitions a single simulation across N PDES workers
-(see :mod:`repro.pdes`). With ``--out`` each experiment writes
+whether ``--shards`` can partition it and, for a paper artifact, an
+ablation or the fault timelines, the ``check`` stating its claims.
+Every invocation checks them and exits 1, after writing everything, if
+one broke. One executor (:mod:`repro.experiments.parallel`) runs that
+declaration every way: in this process, or over ``--parallel N``
+workers; ``--shards N`` partitions a single simulation across N PDES
+workers (see :mod:`repro.pdes`). With ``--out`` each experiment writes
 ``<name>.json`` — the result, a pure function of (experiment,
 arguments, seed) and so byte-identical however it ran — and
 ``<name>.run.json``, the run record: how it ran (mode, shards,
@@ -33,6 +33,8 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .. import telemetry
 from . import (
+    bucket_ablation,
+    fault_recovery,
     fig1_tcp_reservation,
     fig5_pingpong,
     fig6_visualization,
@@ -41,6 +43,7 @@ from . import (
     fig9_combined,
     fig_adaptation,
     garnet_xl,
+    recovery_ablation,
     table1_aqm,
     table1_burstiness,
     table1_l4s,
@@ -81,8 +84,8 @@ class Experiment(NamedTuple):
     cells: Optional[Cells] = None
     modes: Tuple[str, ...] = ("packet",)
     shardable: bool = False
-    #: ``check(result) -> [message, ...]``: the paper's claims about
-    #: this artifact, one message per claim the result breaks.
+    #: ``check(result) -> [message, ...]``: the claims about this
+    #: experiment's result, one message per claim the result breaks.
     check: Optional[Callable] = None
 
 
@@ -150,6 +153,25 @@ EXPERIMENTS = {
         ),
     ),
     "garnet_xl": Experiment(garnet_xl.run, 25.0, shardable=True),
+    # Claims of the paper's design (§4.3, §5.4) and of this
+    # reproduction's calibration and resilience, over Figure 1's
+    # transfer and Figure 6's point measurement.
+    "recovery_ablation": Experiment(
+        recovery_ablation.run, 8.0, check=recovery_ablation.check
+    ),
+    "bucket_ablation": Experiment(
+        bucket_ablation.run,
+        9.0,
+        Cells(
+            bucket_ablation.plan_cells,
+            fig6_visualization.measure_point,
+            lambda key: 2.0,
+        ),
+        check=bucket_ablation.check,
+    ),
+    "fault_recovery": Experiment(
+        fault_recovery.run, 10.0, check=fault_recovery.check
+    ),
 }
 
 

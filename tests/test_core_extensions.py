@@ -259,9 +259,10 @@ class TestTopologyCollectives:
     def test_fewer_wide_area_crossings_than_binomial(self):
         # 8 ranks on 2 hosts: a binomial bcast crosses the host-router
         # links many times; the hierarchical one crosses once per side.
-        def wan_bytes(use_hierarchical):
+        payload = 100_000
+
+        def wan_bytes_and_time(use_hierarchical):
             sim, world = make_world(8, ranks_per_host=4, bandwidth=mbps(100))
-            payload = 100_000
 
             def main(comm):
                 data = "x" if comm.rank == 0 else None
@@ -272,8 +273,11 @@ class TestTopologyCollectives:
 
             run_ranks(sim, world, main)
             host0 = world.procs[0].host
-            return host0.default_interface().tx_bytes
+            return host0.default_interface().tx_bytes, sim.now
 
-        naive = wan_bytes(False)
-        aware = wan_bytes(True)
+        naive, naive_t = wan_bytes_and_time(False)
+        aware, aware_t = wan_bytes_and_time(True)
         assert aware < 0.5 * naive
+        # One payload (plus handshakes) crosses, and no slower for it.
+        assert aware < 1.5 * payload
+        assert aware_t <= 1.1 * naive_t

@@ -1,9 +1,10 @@
 """Tests for the experiment regenerators and the runner.
 
-Each paper artifact's qualitative claims are stated once, in its
-module's ``check(result)``; here they are held against the checked-in
-full-scale ``results/*.json`` and fresh quick runs, and shown to be
-able to fail. The rest checks that regenerators produce well-formed
+Each paper artifact's qualitative claims, and each ablation's and
+fault timeline's, are stated once, in its module's ``check(result)``;
+here they are held against the checked-in full-scale
+``results/*.json`` and fresh quick runs, and shown to be able to
+fail. The rest checks that regenerators produce well-formed
 results and that the runner and its registry agree with the code.
 """
 
@@ -27,6 +28,9 @@ from repro.net import mbps
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 PAPER_ARTIFACTS = ("fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "table1")
+#: Registry entries with a ``check`` that are not paper figures: the
+#: design ablations and the fault timelines.
+ABLATIONS = ("recovery_ablation", "bucket_ablation", "fault_recovery")
 
 
 def load_result(name: str) -> ExperimentResult:
@@ -91,7 +95,7 @@ class TestPaperClaims:
     """Every registered ``check`` holds on the paper artifacts it
     describes, and each of its claims is one that can fail."""
 
-    @pytest.mark.parametrize("name", PAPER_ARTIFACTS)
+    @pytest.mark.parametrize("name", PAPER_ARTIFACTS + ABLATIONS)
     def test_checked_in_result_holds(self, name):
         assert EXPERIMENTS[name].check(load_result(name)) == []
 
@@ -111,8 +115,11 @@ class TestPaperClaims:
             ("fig8", "during_contention_kbps", None, 15000.0),
             ("fig9", "phase5_both_reserved_kbps", None, 20000.0),
             ("table1", (400,), 3, 600.0),
+            ("recovery_ablation", ("newreno",), 1, 42000.0),
+            ("bucket_ablation", (4.0, False), 2, 350.0),
+            ("fault_recovery", ("link",), 5, 5.0),
         ],
-        ids=PAPER_ARTIFACTS,
+        ids=PAPER_ARTIFACTS + ABLATIONS,
     )
     def test_one_perturbed_number_breaks_one_claim(
         self, name, key, column, value
@@ -362,7 +369,7 @@ class TestRegistry:
         with_cells = {
             name: entry for name, entry in EXPERIMENTS.items() if entry.cells
         }
-        assert len(with_cells) == 5
+        assert len(with_cells) == 6
         for name, entry in with_cells.items():
             keys = [key for key, _ in entry.cells.plan(quick=True)]
             assert len(set(keys)) == len(keys) > 0, name

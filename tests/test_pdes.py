@@ -334,8 +334,9 @@ def test_fig1_experiment_is_shard_count_invariant():
         )
         assert sharded.rows == serial.rows
         assert sharded.extra == serial.extra
-    with pytest.raises(ValueError, match="sharded fig1"):
-        fig1_tcp_reservation.run(quick=True, shards=2, mode="hybrid")
+    for fixed in (dict(mode="hybrid"), dict(recovery="newreno")):
+        with pytest.raises(ValueError, match="sharded fig1"):
+            fig1_tcp_reservation.run(quick=True, shards=2, **fixed)
 
 
 def test_fork_backend_matches_inline():
